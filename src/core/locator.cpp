@@ -6,6 +6,7 @@
 
 #include "skynet/alert/type_registry.h"
 #include "skynet/common/error.h"
+#include "skynet/core/connectivity.h"
 
 namespace skynet {
 
@@ -66,6 +67,19 @@ std::string incident::render() const {
     }
     return out;
 }
+
+namespace {
+
+/// Ends a chain of incident_state::previous_slot.
+constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+/// (type, interned location) packed into one u64.
+std::uint64_t type_location_key(const structured_alert& alert) {
+    return (static_cast<std::uint64_t>(alert.type) << 32) |
+           static_cast<std::uint64_t>(alert.loc_id);
+}
+
+}  // namespace
 
 locator::locator(const topology* topo, locator_config config)
     : topo_(topo), config_(config) {
@@ -128,8 +142,10 @@ void locator::import_state(persist_state state) {
         for (persist_state::node_state& n : e.nodes) {
             st.nodes.emplace(n.loc, std::move(n.alerts));
         }
+        index_new_alerts(st);
         incident_states_.push_back(std::move(st));
     }
+    reindex_incidents();
 }
 
 location_id locator::ensure_id(const structured_alert& alert) const {
@@ -154,24 +170,45 @@ void locator::add_to_main(const structured_alert& alert, sim_time now) {
     }
 }
 
+void locator::index_new_alerts(incident_state& st) {
+    for (auto slot = static_cast<std::uint32_t>(st.previous_slot.size());
+         slot < st.inc.alerts.size(); ++slot) {
+        const auto [it, fresh] =
+            st.last_slot.try_emplace(type_location_key(st.inc.alerts[slot]), slot);
+        st.previous_slot.push_back(fresh ? kNoSlot : it->second);
+        it->second = slot;
+    }
+}
+
+void locator::reindex_incidents() {
+    incident_by_root_.clear();
+    for (std::size_t i = 0; i < incident_states_.size(); ++i) {
+        incident_by_root_.emplace(incident_states_[i].root_id, i);
+    }
+}
+
+locator::incident_state* locator::owner_of(location_id loc) {
+    if (incident_by_root_.empty()) return nullptr;
+    const location_table& table = topo_->locations();
+    for (location_id a = loc;; a = table.parent_of(a)) {
+        if (const auto it = incident_by_root_.find(a); it != incident_by_root_.end()) {
+            return &incident_states_[it->second];
+        }
+        if (a == root_location_id) return nullptr;
+    }
+}
+
 void locator::insert(const structured_alert& alert, sim_time now) {
     structured_alert a = alert;
     a.loc_id = ensure_id(alert);
-    const location_table& table = topo_->locations();
-    // Algorithm 1: route into matching incident trees first.
-    for (incident_state& st : incident_states_) {
-        if (st.inc.closed) continue;
-        if (auto it = st.nodes.find(a.loc_id); it != st.nodes.end()) {
-            it->second.push_back(stored_alert{.alert = a, .inserted = now});
-            st.inc.alerts.push_back(a);
-            st.inc.when.extend(a.when.end);
-            st.update_time = now;
-        } else if (table.contains(st.root_id, a.loc_id)) {
-            st.nodes[a.loc_id].push_back(stored_alert{.alert = a, .inserted = now});
-            st.inc.alerts.push_back(a);
-            st.inc.when.extend(a.when.end);
-            st.update_time = now;
-        }
+    // Algorithm 1: route into the incident tree holding the location
+    // first (every node of a tree lies under its root) ...
+    if (incident_state* st = owner_of(a.loc_id)) {
+        st->nodes[a.loc_id].push_back(stored_alert{.alert = a, .inserted = now});
+        st->inc.alerts.push_back(a);
+        index_new_alerts(*st);
+        st->inc.when.extend(a.when.end);
+        st->update_time = now;
     }
     // ... and always into the main tree.
     add_to_main(a, now);
@@ -180,42 +217,35 @@ void locator::insert(const structured_alert& alert, sim_time now) {
 void locator::refresh(const structured_alert& alert, sim_time now) {
     structured_alert a = alert;
     a.loc_id = ensure_id(alert);
-    const location_table& table = topo_->locations();
+    const auto update = [&a](structured_alert& stored) {
+        stored.when = a.when;
+        stored.count = a.count;
+        stored.metric = a.metric;
+    };
     // Consolidation update: same (type, location) alert recurred; extend
     // the stored alert and keep the node alive.
     if (auto it = nodes_.find(a.loc_id); it != nodes_.end()) {
         it->second.last_update = now;
         for (stored_alert& s : it->second.alerts) {
-            if (s.alert.type == a.type) {
-                s.alert.when = a.when;
-                s.alert.count = a.count;
-                s.alert.metric = a.metric;
-            }
+            if (s.alert.type == a.type) update(s.alert);
         }
     } else {
         // Node expired between the original emission and this update:
         // treat as a fresh insertion.
         add_to_main(a, now);
     }
-    for (incident_state& st : incident_states_) {
-        if (st.inc.closed || !table.contains(st.root_id, a.loc_id)) continue;
-        st.update_time = now;
-        st.inc.when.extend(a.when.end);
-        auto it = st.nodes.find(a.loc_id);
-        if (it == st.nodes.end()) continue;
-        for (stored_alert& s : it->second) {
-            if (s.alert.type == a.type) {
-                s.alert.when = a.when;
-                s.alert.count = a.count;
-                s.alert.metric = a.metric;
-            }
-        }
-        for (structured_alert& stored : st.inc.alerts) {
-            if (stored.type == a.type && stored.loc_id == a.loc_id) {
-                stored.when = a.when;
-                stored.count = a.count;
-                stored.metric = a.metric;
-            }
+    incident_state* st = owner_of(a.loc_id);
+    if (st == nullptr) return;
+    st->update_time = now;
+    st->inc.when.extend(a.when.end);
+    auto it = st->nodes.find(a.loc_id);
+    if (it == st->nodes.end()) return;
+    for (stored_alert& s : it->second) {
+        if (s.alert.type == a.type) update(s.alert);
+    }
+    if (const auto last = st->last_slot.find(type_location_key(a)); last != st->last_slot.end()) {
+        for (std::uint32_t i = last->second; i != kNoSlot; i = st->previous_slot[i]) {
+            update(st->inc.alerts[i]);
         }
     }
 }
@@ -237,64 +267,27 @@ std::pair<int, int> locator::count_types(const std::vector<const tree_node*>& gr
 }
 
 std::vector<std::vector<const locator::tree_node*>> locator::connectivity_groups(
-    std::vector<const tree_node*> members) const {
-    const std::size_t n = members.size();
-    std::vector<std::size_t> parent(n);
-    for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-    auto find = [&parent](std::size_t x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-    auto unite = [&](std::size_t a, std::size_t b) { parent[find(a)] = find(b); };
-
+    const std::vector<const tree_node*>& members) const {
     const location_table& table = topo_->locations();
-
-    // Resolve device ids for device-level nodes.
-    std::vector<std::optional<device_id>> dev(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    std::vector<connectivity_member> resolved(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        resolved[i].loc = members[i]->loc;
         for (const stored_alert& s : members[i]->alerts) {
             if (s.alert.device) {
-                dev[i] = s.alert.device;
+                resolved[i].device = s.alert.device;
                 break;
             }
         }
-        if (!dev[i] && table.level_of(members[i]->loc) == hierarchy_level::device) {
-            dev[i] = topo_->find_device(table.segment_of(members[i]->loc));
+        if (!resolved[i].device && table.level_of(members[i]->loc) == hierarchy_level::device) {
+            resolved[i].device = topo_->find_device(table.segment_of(members[i]->loc));
         }
     }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const location_id li = members[i]->loc;
-            const location_id lj = members[j]->loc;
-            // Aggregate glue: containment joins.
-            if (table.contains(li, lj) || table.contains(lj, li)) {
-                unite(i, j);
-                continue;
-            }
-            if (dev[i] && dev[j]) {
-                const location_id ci =
-                    table.ancestor_at(topo_->device_at(*dev[i]).loc_id, hierarchy_level::cluster);
-                const location_id cj =
-                    table.ancestor_at(topo_->device_at(*dev[j]).loc_id, hierarchy_level::cluster);
-                const bool same_cluster =
-                    table.depth(ci) == depth_of(hierarchy_level::cluster) && ci == cj;
-                if (same_cluster || topo_->adjacent(*dev[i], *dev[j])) unite(i, j);
-            }
-        }
-    }
-
-    std::unordered_map<std::size_t, std::vector<const tree_node*>> by_root;
-    for (std::size_t i = 0; i < n; ++i) by_root[find(i)].push_back(members[i]);
     std::vector<std::vector<const tree_node*>> out;
-    out.reserve(by_root.size());
-    for (auto& [root, group] : by_root) out.push_back(std::move(group));
-    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-        return *a.front()->path < *b.front()->path;
-    });
+    for (const std::vector<std::size_t>& group : skynet::connectivity_groups(*topo_, resolved)) {
+        std::vector<const tree_node*>& nodes = out.emplace_back();
+        nodes.reserve(group.size());
+        for (const std::size_t i : group) nodes.push_back(members[i]);
+    }
     return out;
 }
 
@@ -329,9 +322,7 @@ void locator::spawn_incident(const std::vector<const tree_node*>& group, sim_tim
     // Algorithm 2 lines 2-3: the root already has an incident tree — or
     // sits inside one, whose tree is already absorbing these alerts
     // (nested incident trees would double-report).
-    for (const incident_state& st : incident_states_) {
-        if (!st.inc.closed && table.contains(st.root_id, root)) return;
-    }
+    if (owner_of(root) != nullptr) return;
 
     incident_state st;
     st.inc.id = config_.deterministic_ids ? stable_incident_id(table.path_of(root), now)
@@ -364,6 +355,7 @@ void locator::spawn_incident(const std::vector<const tree_node*>& group, sim_tim
         }
     }
     st.inc.when = time_range{begin, std::max(begin, end)};
+    index_new_alerts(st);
 
     // Algorithm 2 lines 7-9: absorb incidents rooted inside the subtree.
     std::erase_if(incident_states_, [&root, &table](const incident_state& old) {
@@ -382,6 +374,7 @@ void locator::spawn_incident(const std::vector<const tree_node*>& group, sim_tim
         incident_states_.erase(incident_states_.begin());
         ++evicted_incidents_;
     }
+    reindex_incidents();
 }
 
 std::vector<incident> locator::check(sim_time now) {
@@ -409,7 +402,7 @@ std::vector<incident> locator::check(sim_time now) {
               [](const tree_node* a, const tree_node* b) { return *a->path < *b->path; });
     std::vector<std::vector<const tree_node*>> groups;
     if (config_.use_connectivity) {
-        groups = connectivity_groups(std::move(members));
+        groups = connectivity_groups(members);
     } else if (!members.empty()) {
         groups.push_back(std::move(members));
     }
@@ -437,7 +430,8 @@ std::vector<incident> locator::check(sim_time now) {
             closed.push_back(std::move(st.inc));
         }
     }
-    std::erase_if(incident_states_, [](const incident_state& st) { return st.inc.closed; });
+    const auto is_closed = [](const incident_state& st) { return st.inc.closed; };
+    if (std::erase_if(incident_states_, is_closed) > 0) reindex_incidents();
     return closed;
 }
 
@@ -450,6 +444,7 @@ std::vector<incident> locator::drain(sim_time now) {
         closed.push_back(std::move(st.inc));
     }
     incident_states_.clear();
+    reindex_incidents();
     (void)now;
     return closed;
 }

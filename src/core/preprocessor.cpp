@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "skynet/common/error.h"
@@ -28,6 +29,10 @@ bool canonical_before(const structured_alert& a, const structured_alert& b) {
 constexpr std::uint64_t kOpenSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kPersistSalt = 0xc2b2ae3d27d4eb4full;
 constexpr std::uint64_t kCorrelSalt = 0x165667b19e3779f9ull;
+
+/// The related-alert rule matches surges by name: "traffic surge" is
+/// registered for two sources under different type ids.
+bool is_surge(const structured_alert& alert) { return alert.type_name == "traffic surge"; }
 
 /// Sketch estimates flow into structured_alert::count, which is int.
 int clamp_count(std::uint64_t estimate) noexcept {
@@ -83,9 +88,12 @@ preprocessor::persist_state preprocessor::export_state() const {
 void preprocessor::import_state(persist_state state) {
     stats_ = state.stats;
     open_.clear();
+    open_surges_.clear();
     for (persist_state::open_entry& e : state.open) {
         const std::uint64_t key = key_of(e.alert);
-        open_[key] = open_alert{.alert = std::move(e.alert), .last_seen = e.last_seen};
+        const auto [it, fresh] = open_.try_emplace(key);
+        if (fresh) index_open(key, e.alert);
+        it->second = open_alert{.alert = std::move(e.alert), .last_seen = e.last_seen};
     }
     const auto import_pending = [](std::vector<persist_state::pending_entry>& from,
                                    std::unordered_map<std::uint64_t, pending_alert>& to) {
@@ -102,6 +110,9 @@ void preprocessor::import_state(persist_state state) {
     import_pending(state.persistence, pending_persistence_);
     import_pending(state.correlation, pending_correlation_);
     sightings_.clear();
+    sighting_scopes_.clear();
+    first_sighting_seq_ = 0;
+    sightings_indexed_ = 0;
     for (const persist_state::sighting_entry& s : state.sightings) {
         sightings_.push_back(sighting{.loc = s.loc, .at = s.at});
     }
@@ -159,13 +170,73 @@ std::uint64_t preprocessor::key_of(const structured_alert& alert) {
            static_cast<std::uint64_t>(alert.loc_id);
 }
 
-bool preprocessor::corroborated(location_id loc, sim_time now) const {
+void preprocessor::latest_sighting::drop_before(std::uint64_t first_live) {
+    while (head_ < items_.size() && items_[head_].first < first_live) ++head_;
+    if (head_ == items_.size()) {
+        items_.clear();
+        head_ = 0;
+    } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+        items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+}
+
+void preprocessor::latest_sighting::push(std::uint64_t seq, sim_time at,
+                                         std::uint64_t first_live) {
+    drop_before(first_live);
+    // An older sighting no later than this one can never be the latest
+    // again: it leaves first.
+    while (items_.size() > head_ && items_.back().second <= at) items_.pop_back();
+    items_.emplace_back(seq, at);
+}
+
+std::optional<sim_time> preprocessor::latest_sighting::latest(std::uint64_t first_live) {
+    drop_before(first_live);
+    if (head_ == items_.size()) return std::nullopt;
+    return items_[head_].second;
+}
+
+void preprocessor::pop_sighting() {
+    sightings_.pop_front();
+    ++first_sighting_seq_;
+}
+
+void preprocessor::index_sightings() {
     const location_table& table = topo_->locations();
-    for (const sighting& s : sightings_) {
-        if (now - s.at > config_.correlation_window) continue;
-        // Corroboration counts when the witnesses share scope: one
-        // contains the other.
-        if (table.contains(s.loc, loc) || table.contains(loc, s.loc)) return true;
+    const std::uint64_t end = first_sighting_seq_ + sightings_.size();
+    for (std::uint64_t seq = std::max(sightings_indexed_, first_sighting_seq_); seq < end; ++seq) {
+        const sighting& s = sightings_[seq - first_sighting_seq_];
+        sighting_scopes_[s.loc].at.push(seq, s.at, first_sighting_seq_);
+        for (location_id a = s.loc;; a = table.parent_of(a)) {
+            sighting_scopes_[a].within.push(seq, s.at, first_sighting_seq_);
+            if (a == root_location_id) break;
+        }
+    }
+    sightings_indexed_ = end;
+}
+
+bool preprocessor::corroborated(location_id loc, sim_time now) {
+    // Corroboration counts when the witnesses share scope — one contains
+    // the other — and the sighting is at most correlation_window old (one
+    // noted at a later arrival time, out of order, counts too): a live
+    // sighting within loc's subtree, or at one of its ancestors.
+    index_sightings();
+    const sim_time oldest = now - config_.correlation_window;
+    const auto recent = [this, oldest](latest_sighting& l) {
+        const std::optional<sim_time> latest = l.latest(first_sighting_seq_);
+        return latest && *latest >= oldest;
+    };
+    if (const auto it = sighting_scopes_.find(loc);
+        it != sighting_scopes_.end() && recent(it->second.within)) {
+        return true;
+    }
+    const location_table& table = topo_->locations();
+    for (location_id a = loc; a != root_location_id;) {
+        a = table.parent_of(a);
+        if (const auto it = sighting_scopes_.find(a);
+            it != sighting_scopes_.end() && recent(it->second.at)) {
+            return true;
+        }
     }
     return false;
 }
@@ -175,10 +246,36 @@ void preprocessor::note_sighting(const structured_alert& alert, sim_time now) {
         alert.category == alert_category::root_cause) {
         sightings_.push_back(sighting{.loc = alert.loc_id, .at = now});
         while (config_.max_sightings != 0 && sightings_.size() > config_.max_sightings) {
-            sightings_.pop_front();
+            pop_sighting();
             ++evicted_pending_;
         }
     }
+}
+
+void preprocessor::index_open(std::uint64_t key, const structured_alert& alert) {
+    if (config_.consolidate_related && is_surge(alert)) open_surges_.push_back(key);
+}
+
+void preprocessor::unindex_open(std::uint64_t key, const structured_alert& alert) {
+    if (!config_.consolidate_related || !is_surge(alert)) return;
+    open_surges_.erase(std::find(open_surges_.begin(), open_surges_.end(), key));
+}
+
+preprocessor::open_alert* preprocessor::related_surge(location_id loc, sim_time now) {
+    const location_table& table = topo_->locations();
+    open_alert* target = nullptr;
+    for (const std::uint64_t key : open_surges_) {
+        open_alert& open = open_.find(key)->second;
+        if (now - open.last_seen > config_.persistence_window) continue;
+        const location_id other = open.alert.loc_id;
+        const bool adjacent = table.contains(other, loc) || table.contains(loc, other) ||
+                              table.parent_of(other) == table.parent_of(loc);
+        if (adjacent && other != loc &&
+            (target == nullptr || canonical_before(open.alert, target->alert))) {
+            target = &open;
+        }
+    }
+    return target;
 }
 
 template <typename Entry>
@@ -195,6 +292,9 @@ void preprocessor::enforce_cap(std::unordered_map<std::uint64_t, Entry>& map,
             }
         }
         if (victim == map.end()) return;  // only the protected entry left
+        if constexpr (std::is_same_v<Entry, open_alert>) {
+            unindex_open(victim->first, victim->second.alert);
+        }
         map.erase(victim);
         ++evicted_pending_;
     }
@@ -227,6 +327,7 @@ void preprocessor::emit(structured_alert alert, sim_time now, std::vector<prepro
     if (it == open_.end()) {
         it = open_.try_emplace(key).first;
         it->second = open_alert{.alert = alert, .last_seen = now};
+        index_open(key, alert);
         ++stats_.emitted_new;
         out.push_back(preprocess_event{.alert = std::move(alert), .is_update = false});
         enforce_cap(open_, key);
@@ -366,22 +467,8 @@ void preprocessor::route(structured_alert alert, sim_time now,
     // (ancestor/descendant/sibling-parent) location. When several open
     // surges qualify, the canonical-first one absorbs the merge, so the
     // outcome does not depend on hash-map iteration order.
-    if (config_.consolidate_related && alert.type_name == "traffic surge") {
-        const location_table& table = topo_->locations();
-        open_alert* target = nullptr;
-        for (auto& [key, open] : open_) {
-            if (open.alert.type_name != "traffic surge") continue;
-            if (now - open.last_seen > config_.persistence_window) continue;
-            const location_id other = open.alert.loc_id;
-            const bool adjacent = table.contains(other, alert.loc_id) ||
-                                  table.contains(alert.loc_id, other) ||
-                                  table.parent_of(other) == table.parent_of(alert.loc_id);
-            if (adjacent && other != alert.loc_id &&
-                (target == nullptr || canonical_before(open.alert, target->alert))) {
-                target = &open;
-            }
-        }
-        if (target != nullptr) {
+    if (config_.consolidate_related && is_surge(alert)) {
+        if (open_alert* target = related_surge(alert.loc_id, now)) {
             target->alert.count += 1;
             target->alert.when.extend(alert.when.end);
             target->last_seen = now;
@@ -552,6 +639,7 @@ std::vector<preprocess_event> preprocessor::flush(sim_time now) {
     // Expire open alerts past the dedup window.
     for (auto it = open_.begin(); it != open_.end();) {
         if (now - it->second.last_seen > config_.dedup_window) {
+            unindex_open(it->first, it->second.alert);
             it = open_.erase(it);
         } else {
             ++it;
@@ -560,7 +648,7 @@ std::vector<preprocess_event> preprocessor::flush(sim_time now) {
 
     // Prune the corroboration history.
     while (!sightings_.empty() && now - sightings_.front().at > config_.correlation_window) {
-        sightings_.pop_front();
+        pop_sighting();
     }
 
     // Sketch epoch rollover: the sketched analog of open-table expiry.

@@ -11,7 +11,10 @@
 //
 // Waiting mirrors spsc_queue: bounded yield spin, then a futex park on a
 // progress counter (pushes_ for the consumer, pops_ for producers), so
-// neither side burns a core waiting on a stalled peer.
+// neither side burns a core waiting on a stalled peer. Each waiter loads
+// the counter *before* its failed try and parks on that value: a peer
+// that makes progress in between has already moved the counter, so the
+// park returns at once instead of sleeping through the wakeup.
 #pragma once
 
 #include <atomic>
@@ -65,12 +68,13 @@ public:
         std::size_t waits = 0;
         std::size_t spins = 0;
         for (;;) {
+            const std::size_t seen = pops_.load(std::memory_order_acquire);
             if (try_push(value)) return waits;
             ++waits;
             if (++spins <= spin_limit) {
                 std::this_thread::yield();
             } else {
-                pops_.wait(pops_.load(std::memory_order_acquire), std::memory_order_acquire);
+                pops_.wait(seen, std::memory_order_acquire);
             }
         }
     }
@@ -95,12 +99,13 @@ public:
     void pop_blocking(T& out) {
         std::size_t spins = 0;
         for (;;) {
+            const std::size_t seen = pushes_.load(std::memory_order_acquire);
             if (try_pop(out)) return;
             if (++spins <= spin_limit) {
                 std::this_thread::yield();
                 continue;
             }
-            pushes_.wait(pushes_.load(std::memory_order_acquire), std::memory_order_acquire);
+            pushes_.wait(seen, std::memory_order_acquire);
         }
     }
 

@@ -189,28 +189,47 @@ private:
         sim_time update_time{0};
         /// Interned locations (node keys) belonging to this incident tree.
         std::unordered_map<location_id, std::vector<stored_alert>> nodes;
+        /// Positions in inc.alerts by (type, location) key, so a refresh
+        /// touches only the alerts it updates: the latest position per
+        /// key, and per position the previous one with the same key
+        /// (kNoSlot ends the chain). Mirrors inc.alerts, which only ever
+        /// grows (insert, spawn, import).
+        std::unordered_map<std::uint64_t, std::uint32_t> last_slot;
+        std::vector<std::uint32_t> previous_slot;
     };
 
     /// The alert's interned id; interns its string path when the caller
     /// (e.g. a test building alerts by hand) left the sentinel.
     [[nodiscard]] location_id ensure_id(const structured_alert& alert) const;
     void add_to_main(const structured_alert& alert, sim_time now);
+    /// Adds the alerts appended to st.inc.alerts since the last call to
+    /// its slot index.
+    static void index_new_alerts(incident_state& st);
+    /// Rebuilds incident_by_root_ after incident_states_ changed shape.
+    void reindex_incidents();
+    /// The open incident whose tree holds `loc`, or nullptr: open roots
+    /// never nest, so at most one root sits on `loc`'s ancestor chain.
+    [[nodiscard]] incident_state* owner_of(location_id loc);
     /// Counts distinct failure types and total types among the alerts of
     /// the given nodes; with count_by_type disabled, counts distinct
     /// (type, location) pairs instead.
     [[nodiscard]] std::pair<int, int> count_types(
         const std::vector<const tree_node*>& group) const;
-    /// Partitions alert-bearing nodes into connectivity groups: device
-    /// nodes join via topology adjacency / shared cluster; aggregate-
-    /// location nodes glue everything beneath them.
+    /// Partitions alert-bearing nodes (path-sorted) into connectivity
+    /// groups (see skynet/core/connectivity.h), each path-sorted, in path
+    /// order of their first node.
     [[nodiscard]] std::vector<std::vector<const tree_node*>> connectivity_groups(
-        std::vector<const tree_node*> members) const;
+        const std::vector<const tree_node*>& members) const;
     void spawn_incident(const std::vector<const tree_node*>& group, sim_time now);
 
     const topology* topo_;
     locator_config config_;
     std::unordered_map<location_id, tree_node> nodes_;
     std::vector<incident_state> incident_states_;
+    /// Open incident root -> position in incident_states_. Derived state:
+    /// rebuilt whenever incident_states_ gains, loses or reorders entries
+    /// (spawn, absorb, cap eviction, close, drain, import).
+    std::unordered_map<location_id, std::size_t> incident_by_root_;
     std::uint64_t next_incident_id_{1};
     /// Incidents force-closed by the max_open_incidents cap, held until
     /// the surrounding check() folds them into its closed list.

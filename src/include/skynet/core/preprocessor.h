@@ -258,6 +258,28 @@ private:
         location_id loc{invalid_location_id};
         sim_time at{0};
     };
+    /// Latest time among a set of sightings that leave in FIFO order: a
+    /// monotonic deque of (sequence, time), sequences increasing and
+    /// times non-increasing from the front. Sightings below the first
+    /// live sequence have left sightings_; they form a prefix, dropped
+    /// lazily, so the first live entry holds the latest live time.
+    class latest_sighting {
+    public:
+        void push(std::uint64_t seq, sim_time at, std::uint64_t first_live);
+        /// The latest time among sightings at or after `first_live`.
+        [[nodiscard]] std::optional<sim_time> latest(std::uint64_t first_live);
+
+    private:
+        void drop_before(std::uint64_t first_live);
+
+        std::vector<std::pair<std::uint64_t, sim_time>> items_;
+        std::size_t head_{0};
+    };
+    /// Per location: its own live sightings, and those at or beneath it.
+    struct sighting_scope {
+        latest_sighting at;
+        latest_sighting within;
+    };
 
     /// Converts one raw alert into (type, category, location); nullopt
     /// when the alert cannot be classified (dropped). Interns the
@@ -273,8 +295,18 @@ private:
     void route(structured_alert alert, sim_time now, std::vector<preprocess_event>& out);
 
     void emit(structured_alert alert, sim_time now, std::vector<preprocess_event>& out);
-    [[nodiscard]] bool corroborated(location_id loc, sim_time now) const;
+    [[nodiscard]] bool corroborated(location_id loc, sim_time now);
     void note_sighting(const structured_alert& alert, sim_time now);
+    /// sightings_.pop_front(), keeping first_sighting_seq_ in step.
+    void pop_sighting();
+    /// Adds the sightings noted since the last call to sighting_scopes_.
+    void index_sightings();
+    /// The open surge the related-alert rule merges a surge at `loc`
+    /// into, or nullptr.
+    [[nodiscard]] open_alert* related_surge(location_id loc, sim_time now);
+    /// Adds / removes an open_ entry in open_surges_ when it is a surge.
+    void index_open(std::uint64_t key, const structured_alert& alert);
+    void unindex_open(std::uint64_t key, const structured_alert& alert);
     /// Applies max_pending_alerts to one consolidation table after an
     /// insert: evicts oldest-first (never the entry keyed `keep_key`).
     template <typename Entry>
@@ -303,6 +335,26 @@ private:
     std::unordered_map<std::uint64_t, pending_alert> pending_persistence_;
     std::unordered_map<std::uint64_t, pending_alert> pending_correlation_;
     std::deque<sighting> sightings_;
+    /// Sequence number of sightings_.front(); the back is this plus
+    /// size() - 1.
+    std::uint64_t first_sighting_seq_{0};
+    /// Sequence of the next sighting index_sightings() adds.
+    std::uint64_t sightings_indexed_{0};
+
+    // Derived indexes (rebuilt by import_state, never persisted). Each
+    // mirrors its table on every insert, expiry, cap eviction and import,
+    // and lives in this engine only: shared topology state stays as
+    // built.
+    /// Locations with a sighting at or beneath them: corroboration
+    /// becomes O(depth) probes instead of a scan of sightings_. Brought up
+    /// to date when corroboration asks, so a sighting that leaves before
+    /// the next ask never costs an index update. Entries outlive their
+    /// sightings (bounded by the locations ever sighted).
+    std::unordered_map<location_id, sighting_scope> sighting_scopes_;
+    /// Keys of the open_ entries that are traffic surges: the related-
+    /// alert rule tests these only, instead of every open alert (on the
+    /// recorded flood about 50 of 2,100 open alerts are surges).
+    std::vector<std::uint64_t> open_surges_;
 };
 
 }  // namespace skynet
