@@ -2,87 +2,62 @@
 
 #include <sys/stat.h>
 
-#include <cstring>
-#include <fstream>
-
 #include "skynet/persist/crc32c.h"
 #include "skynet/persist/journal.h"
 #include "skynet/persist/report_codec.h"
 
 namespace skynet::federate {
 
+namespace codec = persist::codec;
+
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-    out.push_back(static_cast<char>((v >> 16) & 0xff));
-    out.push_back(static_cast<char>((v >> 24) & 0xff));
+/// Header fields, then the path dictionary (location ids are table-local,
+/// so every payload carries its own), then the reports.
+template <typename Io, typename Digest> void header_fields(Io& io, Digest& d) {
+    io.str(d.region);
+    io.u64(d.seq);
+    io.i64(d.barrier);
+    io.flag(d.finish);
 }
 
-std::uint32_t get_u32(const char* p) {
-    const auto* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(u[0]) | (static_cast<std::uint32_t>(u[1]) << 8) |
-           (static_cast<std::uint32_t>(u[2]) << 16) | (static_cast<std::uint32_t>(u[3]) << 24);
+template <typename Io, typename Digest> void report_list(Io& io, Digest& d) {
+    io.list(d.reports, codec::min_report_bytes, [&](auto& r) { codec::report_fields(io, r); });
 }
 
 }  // namespace
 
 std::string encode_digest_payload(const region_digest& d) {
-    namespace codec = persist::codec;
-    std::string out = "DIG";
-    codec::put_u64(out, d.seq);
-    codec::put_i64(out, d.barrier);
-    codec::put(out, d.finish ? "1" : "0");
-    codec::put_u64(out, d.reports.size());
-    codec::put(out, d.region);
-    out += '\n';
-    for (const incident_report& r : d.reports) codec::put_report(out, r);
-    return out;
+    codec::path_writer paths;
+    std::string reports;
+    codec::encoder reports_io{reports, paths};
+    report_list(reports_io, d);
+    std::string out;
+    codec::encoder io{out, paths};
+    header_fields(io, d);
+    paths.put(out);
+    return out + reports;
 }
 
 bool decode_digest_payload(std::string_view payload, region_digest& d, std::string& err) {
-    namespace codec = persist::codec;
-    codec::cursor c;
-    c.text = payload;
-    std::vector<std::string_view> f;
-    auto finish_error = [&]() {
-        err = c.err.empty() ? "digest parse error" : c.err;
-        return false;
-    };
-    std::uint64_t n_reports = 0;
-    bool finish = false;
-    if (!c.expect("DIG", 5, f)) return finish_error();
-    if (!c.u64(f[1], d.seq)) return finish_error();
-    if (!c.i64(f[2], d.barrier)) return finish_error();
-    if (!c.flag(f[3], finish)) return finish_error();
-    if (!c.u64(f[4], n_reports)) return finish_error();
-    d.region = std::string(f[5]);
-    d.finish = finish;
-    if (d.region.empty()) {
-        err = "digest with empty region";
-        return false;
-    }
-    d.reports.clear();
-    d.reports.reserve(n_reports);
-    for (std::uint64_t i = 0; i < n_reports; ++i) {
-        incident_report r;
-        if (!codec::get_report(c, r)) return finish_error();
-        d.reports.push_back(std::move(r));
-    }
-    if (c.pos < c.text.size()) {
-        err = "trailing bytes after digest reports";
-        return false;
-    }
-    return true;
+    codec::reader in(payload);
+    codec::path_reader paths;
+    codec::decoder io{in, paths};
+    header_fields(io, d);
+    if (in.ok() && d.region.empty()) in.fail("digest with empty region");
+    paths.read(in);
+    report_list(io, d);
+    if (in.ok() && in.remaining() != 0) in.fail("trailing bytes after digest reports");
+    err = in.error();
+    return in.ok();
 }
 
 std::string frame_fed_record(fed_record type, std::string_view payload) {
     std::string out;
     out.reserve(persist::record_header_bytes + payload.size());
     out.push_back(static_cast<char>(type));
-    put_u32(out, static_cast<std::uint32_t>(payload.size()));
-    put_u32(out, persist::crc32c(payload));
+    codec::put_u32(out, static_cast<std::uint32_t>(payload.size()));
+    codec::put_u32(out, persist::crc32c(payload));
     out += payload;
     return out;
 }
@@ -105,8 +80,11 @@ std::optional<fed_frame> fed_decoder::next() {
     if (corrupt_) return std::nullopt;
     if (!seen_magic_) {
         if (buf_.size() - pos_ < fed_magic.size()) return std::nullopt;
-        if (std::string_view(buf_).substr(pos_, fed_magic.size()) != fed_magic) {
-            fail("bad federation magic");
+        const std::string_view magic = std::string_view(buf_).substr(pos_, fed_magic.size());
+        if (magic != fed_magic) {
+            fail(magic.starts_with(fed_magic.substr(0, 7))
+                     ? "federation protocol version mismatch: peer sent " + std::string(magic)
+                     : std::string("bad federation magic"));
             return std::nullopt;
         }
         pos_ += fed_magic.size();
@@ -115,8 +93,8 @@ std::optional<fed_frame> fed_decoder::next() {
     if (buf_.size() - pos_ < persist::record_header_bytes) return std::nullopt;
     const char* header = buf_.data() + pos_;
     const auto type = static_cast<fed_record>(static_cast<unsigned char>(header[0]));
-    const std::uint32_t len = get_u32(header + 1);
-    const std::uint32_t crc = get_u32(header + 5);
+    const std::uint32_t len = codec::load_u32(header + 1);
+    const std::uint32_t crc = codec::load_u32(header + 5);
     if (type != fed_record::hello && type != fed_record::digest) {
         fail("unknown federation record type " +
              std::to_string(static_cast<unsigned char>(header[0])));
@@ -142,12 +120,12 @@ std::optional<fed_frame> fed_decoder::next() {
 
 digest_journal_read read_digest_journal(const std::string& path) {
     digest_journal_read result;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> file = persist::read_file(path);
+    if (!file) {
         result.missing = true;
         return result;
     }
-    std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const std::string& bytes = *file;
 
     auto truncate_at = [&](std::uint64_t at, std::string reason) {
         result.valid_bytes = at;
@@ -156,11 +134,13 @@ digest_journal_read read_digest_journal(const std::string& path) {
         return result;
     };
 
-    if (bytes.size() < fed_magic.size() ||
-        std::string_view(bytes).substr(0, fed_magic.size()) != fed_magic) {
-        // An empty or headerless file is a torn-at-byte-zero journal:
-        // drop everything, the writer re-creates the magic.
-        return truncate_at(0, "missing digest journal magic");
+    if (!std::string_view(bytes).starts_with(fed_magic)) {
+        // An empty or headerless file is a torn-at-byte-zero journal, and
+        // one of another format version cannot be decoded: drop
+        // everything, the writer re-creates the magic.
+        return truncate_at(0, std::string_view(bytes).starts_with(fed_magic.substr(0, 7))
+                                  ? "digest journal of another format version"
+                                  : "missing digest journal magic");
     }
 
     std::size_t pos = fed_magic.size();
@@ -171,8 +151,8 @@ digest_journal_read read_digest_journal(const std::string& path) {
         }
         const char* header = bytes.data() + pos;
         const auto type = static_cast<fed_record>(static_cast<unsigned char>(header[0]));
-        const std::uint32_t len = get_u32(header + 1);
-        const std::uint32_t crc = get_u32(header + 5);
+        const std::uint32_t len = codec::load_u32(header + 1);
+        const std::uint32_t crc = codec::load_u32(header + 5);
         if (type != fed_record::digest) {
             return truncate_at(pos, "unexpected record type in digest journal");
         }

@@ -2,9 +2,9 @@
 //
 // A region daemon periodically condenses the incident reports closed at
 // a barrier into a *digest* — sequence-numbered, region-tagged, carrying
-// the full ranked reports in the persist layer's text codec — and
+// the full ranked reports in the persist layer's binary codec — and
 // streams it to the global aggregator. The wire mirrors the SKYNETJ1
-// design exactly: an 8-byte magic ("SKYNETF1"), then records framed
+// design exactly: an 8-byte magic ("SKYNETF2"), then records framed
 //   [u8 type][u32 payload_len LE][u32 crc32c(payload) LE][payload]
 // with two record types: hello (payload = region name, opens a session)
 // and digest. One format, two transports, again: the emitter's digest
@@ -32,18 +32,20 @@
 
 namespace skynet::federate {
 
-inline constexpr std::string_view fed_magic = "SKYNETF1";
+/// Version 2: binary digest payloads. Peers and digest journals of
+/// version 1 (text payloads) are rejected with a reason.
+inline constexpr std::string_view fed_magic = "SKYNETF2";
 inline constexpr const char* digest_journal_filename = "digests.skyfed";
 
 enum class fed_record : std::uint8_t {
     hello = 1,   ///< session opener; payload = region name
-    digest = 2,  ///< one incident digest (text payload, see below)
+    digest = 2,  ///< one incident digest (binary payload, see below)
 };
 
-/// One region digest. The text payload is a header line
-///   DIG\t<seq>\t<barrier>\t<finish>\t<nreports>\t<region>
-/// followed by <nreports> REP blocks in the persist report codec —
-/// byte-identical to how the same reports land in a checkpoint.
+/// One region digest. The payload, in the persist codec
+/// (report_codec.h): region, seq, barrier and finish, then the payload's
+/// own path dictionary (location ids are table-local), then the report
+/// count and the reports, encoded as a checkpoint encodes them.
 struct region_digest {
     std::string region;
     std::uint64_t seq{0};  ///< 1-based, strictly increasing per region
@@ -52,7 +54,7 @@ struct region_digest {
     std::vector<incident_report> reports;
 };
 
-/// Encodes the digest text payload (header line + report blocks).
+/// Encodes the digest payload.
 [[nodiscard]] std::string encode_digest_payload(const region_digest& d);
 
 /// Decodes a digest payload; false with `err` set on malformed bytes.

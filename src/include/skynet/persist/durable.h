@@ -208,9 +208,10 @@ private:
         data.engines = detail::unified_export(engine_);
         const std::size_t interned = opts_.locations->size();
         data.locations.reserve(interned > 0 ? interned - 1 : 0);
-        for (std::size_t id = 1; id < interned; ++id) {
+        for (std::size_t i = 1; i < interned; ++i) {
+            const auto id = static_cast<location_id>(i);
             data.locations.push_back(
-                opts_.locations->path_of(static_cast<location_id>(id)).to_string());
+                {opts_.locations->parent_of(id), std::string(opts_.locations->segment_of(id))});
         }
         if (opts_.log != nullptr) data.log = opts_.log->entries();
         if (opts_.controller != nullptr) data.overload = opts_.controller->export_state();

@@ -14,6 +14,9 @@
 // barrier payload is the 8-byte LE tick time. A torn tail — short
 // header, payload overrunning the file, or CRC mismatch — marks the end
 // of the valid prefix: recovery counts and drops it, never aborts.
+// Recovery reads the file once, checks every frame's header and CRC
+// without decoding a payload (scan_journal), and decodes only the
+// records past the snapshot it restores (decode_journal).
 // Writes are buffered and flushed every `flush_every` records
 // (group-commit); finish barriers flush, and the durable session
 // flushes before every checkpoint (a checkpoint must not reference
@@ -22,6 +25,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -100,9 +104,19 @@ private:
     std::uint64_t offset_{0};
 };
 
-/// Result of scanning a journal (from an offset, usually a snapshot's).
+/// One intact record frame found by scan_journal.
+struct journal_frame {
+    record_type type{record_type::batch};
+    std::uint64_t offset{0};  ///< absolute offset of the frame header
+    std::uint32_t length{0};  ///< payload bytes
+};
+
+/// A journal read once: its bytes, the frames of its valid prefix and,
+/// after decode_journal, the records decoded from some offset on.
 struct journal_read_result {
-    std::vector<journal_record> records;
+    std::vector<journal_record> records;  ///< filled by decode_journal
+    std::vector<journal_frame> frames;    ///< every intact frame, in order
+    std::string bytes;                    ///< the whole file
     /// Absolute offset one past the last intact record (resume-append
     /// truncates the file here before writing).
     std::uint64_t valid_bytes{0};
@@ -114,9 +128,22 @@ struct journal_read_result {
     bool missing{false};
 };
 
-/// Decodes records from byte `from` (0 verifies the magic first) to the
-/// end of the valid prefix. Corruption is reported, never thrown.
-[[nodiscard]] journal_read_result read_journal(const std::string& path, std::uint64_t from = 0);
+/// Reads `path` with one sized read and checks the magic and every
+/// frame's header and CRC, decoding no payload. The first bad frame ends
+/// the valid prefix; corruption is reported, never thrown.
+[[nodiscard]] journal_read_result scan_journal(const std::string& path);
+
+/// Decodes the scanned frames that start at or past `from` into
+/// `journal.records`. A frame whose CRC matched but whose payload does
+/// not decode ends the valid prefix there, as a torn frame would.
+void decode_journal(journal_read_result& journal, std::uint64_t from);
+
+/// scan_journal, then decode_journal of every record.
+[[nodiscard]] journal_read_result read_journal(const std::string& path);
+
+/// The whole file at `path` in one sized read; nullopt when it cannot be
+/// opened.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 /// Drops a torn tail so a recovered session can append safely. Returns
 /// false when the file cannot be resized.

@@ -7,12 +7,16 @@
 // the journal offset the snapshot corresponds to. Recovery loads the
 // newest valid snapshot and replays the journal suffix past its offset.
 //
-// Format: versioned, line-oriented text with tab-separated fields
-// (the same conventions as topology/serialization.h), ending in a
-// whole-file CRC-32C trailer line. Files are written to a temporary
-// name and atomically renamed, so a crash mid-write leaves either the
-// previous snapshot set or a complete new file — never a half-written
-// one that parses.
+// Format (version 2): binary, in the persist codec (report_codec.h).
+// An 8-byte magic and a u32 version, the fixed meta fields, the path
+// dictionary — the location table in id order, then any path the state
+// names that the table does not hold — the engine, overload, lifecycle
+// and log sections, and a CRC-32C of everything before it as the last
+// four bytes. Alerts, incidents and reports name their paths by
+// dictionary index, so each path is written once per file. Files are
+// written to a temporary name and atomically renamed, so a crash
+// mid-write leaves either the previous snapshot set or a complete new
+// file — never a half-written one that parses.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +30,12 @@
 #include "skynet/core/sharded_engine.h"
 #include "skynet/lifecycle/manager.h"
 #include "skynet/overload/controller.h"
+#include "skynet/persist/report_codec.h"
 
 namespace skynet::persist {
 
-inline constexpr std::string_view snapshot_header = "# skynet snapshot v1";
+inline constexpr std::string_view snapshot_magic = "SKYNETSN";
+inline constexpr std::uint32_t snapshot_version = 2;
 
 /// Everything one snapshot file holds. A sequential skynet_engine is
 /// stored as a one-shard engines state with no region entries.
@@ -43,10 +49,11 @@ struct snapshot_data {
     std::uint64_t journal_records{0};
     /// Barrier time the snapshot was taken at.
     sim_time barrier_time{0};
-    /// Interned location paths in id order (id 1 first; the root is
-    /// implicit). Restored before any engine state so every stored
-    /// location_id resolves identically.
-    std::vector<std::string> locations;
+    /// The interned location table in id order as (parent id, last
+    /// segment) entries (id 1 first; the root is implicit). Restored
+    /// before any engine state so every stored location_id resolves
+    /// identically.
+    std::vector<codec::path_entry> locations;
     sharded_engine::persist_state engines;
     /// Overload-controller state (admission window, dedup keys, breaker
     /// machines, counters). All-default when no controller was active —
@@ -59,20 +66,20 @@ struct snapshot_data {
     std::vector<incident_log::entry> log;
 };
 
-/// Serializes to the text format, CRC trailer included.
+/// Serializes to the binary format, CRC trailer included.
 [[nodiscard]] std::string render_snapshot(const snapshot_data& data);
 
 struct snapshot_parse_result {
     std::optional<snapshot_data> data;
-    /// Parse/CRC failure with the offending line; empty on success.
+    /// Parse/CRC failure with its byte offset; empty on success.
     std::string error;
 
     [[nodiscard]] bool ok() const noexcept { return data.has_value(); }
 };
 
-/// Verifies the CRC trailer and parses. Corruption is reported in
-/// `error`, never thrown.
-[[nodiscard]] snapshot_parse_result parse_snapshot(std::string_view text);
+/// Checks the magic, version and CRC trailer, then parses. Corruption
+/// and other versions are reported in `error`, never thrown.
+[[nodiscard]] snapshot_parse_result parse_snapshot(std::string_view bytes);
 
 /// `snap-<seq>.skysnap` (zero-padded so lexical and numeric order agree).
 [[nodiscard]] std::string snapshot_filename(std::uint64_t seq);

@@ -1,42 +1,24 @@
 #include "skynet/persist/journal.h"
 
+#include <sys/stat.h>
+
 #include <bit>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "skynet/common/error.h"
 #include "skynet/persist/crc32c.h"
+#include "skynet/persist/report_codec.h"
 
 namespace skynet::persist {
 
 namespace {
 
+using codec::put_str;
+using codec::put_u32;
+using codec::put_u64;
+
 constexpr std::size_t header_bytes = record_header_bytes;
-
-void put_u32(std::string& out, std::uint32_t v) {
-    out.push_back(static_cast<char>(v & 0xFF));
-    out.push_back(static_cast<char>((v >> 8) & 0xFF));
-    out.push_back(static_cast<char>((v >> 16) & 0xFF));
-    out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t get_u32(const char* p) {
-    const auto* b = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-           (static_cast<std::uint32_t>(b[2]) << 16) | (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-    put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-    put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void put_str(std::string& out, std::string_view s) {
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out += s;
-}
 
 // --- binary batch codec -------------------------------------------------------
 // Text formats cost too much on the hot ingest path (double formatting
@@ -56,6 +38,12 @@ void put_loc(std::string& out, const location& loc) {
     for (const std::string& seg : loc.segments()) put_str(out, seg);
 }
 
+location get_loc(codec::reader& in) {
+    std::vector<std::string> segments(in.bounded(in.u32(), 4));  // each segment costs >= 4 bytes
+    for (std::string& seg : segments) seg = in.str();
+    return location(std::move(segments));
+}
+
 }  // namespace
 
 std::string encode_barrier_payload(sim_time now) {
@@ -66,9 +54,7 @@ std::string encode_barrier_payload(sim_time now) {
 
 bool decode_barrier_payload(std::string_view payload, sim_time& now) {
     if (payload.size() != 8) return false;
-    const std::uint64_t lo = get_u32(payload.data());
-    const std::uint64_t hi = get_u32(payload.data() + 4);
-    now = static_cast<sim_time>(lo | (hi << 32));
+    now = codec::reader(payload).i64();
     return true;
 }
 
@@ -98,82 +84,29 @@ void encode_batch_payload(std::string& out, std::span<const traced_alert> batch)
     }
 }
 
-namespace {
-
-/// Bounds-checked reader over a batch payload; any overrun flips `ok`.
-struct payload_cursor {
-    std::string_view bytes;
-    std::size_t pos{0};
-    bool ok{true};
-
-    [[nodiscard]] bool take(std::size_t n) {
-        if (!ok || bytes.size() - pos < n) {
-            ok = false;
-            return false;
-        }
-        return true;
-    }
-    std::uint8_t u8() {
-        if (!take(1)) return 0;
-        return static_cast<std::uint8_t>(bytes[pos++]);
-    }
-    std::uint32_t u32() {
-        if (!take(4)) return 0;
-        const std::uint32_t v = get_u32(bytes.data() + pos);
-        pos += 4;
-        return v;
-    }
-    std::uint64_t u64() {
-        const std::uint64_t lo = u32();
-        const std::uint64_t hi = u32();
-        return lo | (hi << 32);
-    }
-    std::string_view str() {
-        const std::uint32_t len = u32();
-        if (!take(len)) return {};
-        const std::string_view s = bytes.substr(pos, len);
-        pos += len;
-        return s;
-    }
-    location loc() {
-        const std::uint32_t nsegs = u32();
-        if (!ok || nsegs > bytes.size() - pos) {  // each segment costs >= 4 bytes
-            ok = false;
-            return {};
-        }
-        std::vector<std::string> segments;
-        segments.reserve(nsegs);
-        for (std::uint32_t i = 0; i < nsegs && ok; ++i) segments.emplace_back(str());
-        return location(std::move(segments));
-    }
-};
-
-}  // namespace
-
 bool decode_batch_payload(std::string_view payload, std::vector<traced_alert>& out) {
-    payload_cursor c{.bytes = payload};
-    const std::uint32_t count = c.u32();
-    if (!c.ok || count > payload.size()) return false;  // count can't exceed bytes
+    codec::reader in(payload);
+    const std::size_t count = in.bounded(in.u32(), 1);
     out.reserve(count);
-    for (std::uint32_t i = 0; i < count && c.ok; ++i) {
+    for (std::size_t i = 0; i < count && in.ok(); ++i) {
         traced_alert t;
-        t.arrival = static_cast<sim_time>(c.u64());
+        t.arrival = in.i64();
         raw_alert& a = t.alert;
-        a.source = static_cast<data_source>(c.u8());
-        a.timestamp = static_cast<sim_time>(c.u64());
-        a.kind = std::string(c.str());
-        a.message = std::string(c.str());
-        a.loc = c.loc();
-        const std::uint8_t flags = c.u8();
-        if (flags & flag_device) a.device = c.u32();
-        if (flags & flag_link) a.link = c.u32();
-        a.metric = std::bit_cast<double>(c.u64());
-        if (flags & flag_src) a.src_loc = c.loc();
-        if (flags & flag_dst) a.dst_loc = c.loc();
-        if (!c.ok) break;
+        a.source = static_cast<data_source>(in.u8());
+        a.timestamp = in.i64();
+        a.kind = in.str();
+        a.message = in.str();
+        a.loc = get_loc(in);
+        const std::uint8_t flags = in.u8();
+        if (flags & flag_device) a.device = in.u32();
+        if (flags & flag_link) a.link = in.u32();
+        a.metric = in.dbl();
+        if (flags & flag_src) a.src_loc = get_loc(in);
+        if (flags & flag_dst) a.dst_loc = get_loc(in);
+        if (!in.ok()) break;
         out.push_back(std::move(t));
     }
-    return c.ok && c.pos == payload.size();
+    return in.ok() && in.remaining() == 0;
 }
 
 journal_writer::journal_writer(const std::string& path, std::size_t flush_every)
@@ -202,9 +135,7 @@ journal_writer::~journal_writer() {
 }
 
 void journal_writer::append(record_type type, std::string_view payload, bool force_flush) {
-    std::string header;
-    header.reserve(header_bytes);
-    header.push_back(static_cast<char>(type));
+    std::string header(1, static_cast<char>(type));
     put_u32(header, static_cast<std::uint32_t>(payload.size()));
     put_u32(header, crc32c(payload));
     std::fwrite(header.data(), 1, header.size(), file_);
@@ -233,76 +164,89 @@ void journal_writer::flush() {
     ++flushes_;
 }
 
-journal_read_result read_journal(const std::string& path, std::uint64_t from) {
+std::optional<std::string> read_file(const std::string& path) {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    if (file == nullptr) return std::nullopt;
+    std::string bytes;
+    struct stat st{};
+    if (::fstat(::fileno(file), &st) == 0 && st.st_size > 0) {
+        bytes.resize(static_cast<std::size_t>(st.st_size));
+        bytes.resize(std::fread(bytes.data(), 1, bytes.size(), file));
+    }
+    std::fclose(file);
+    return bytes;
+}
+
+journal_read_result scan_journal(const std::string& path) {
     journal_read_result result;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::optional<std::string> file = read_file(path);
+    if (!file) {
         result.missing = true;
         return result;
     }
-    std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-    std::uint64_t pos = from;
-    if (pos == 0) {
-        if (bytes.size() < journal_magic.size() ||
-            std::string_view(bytes).substr(0, journal_magic.size()) != journal_magic) {
-            // Nothing trustworthy past a bad magic: the whole file is tail.
-            result.truncated_tail_bytes = bytes.size();
-            result.truncation_reason = "bad journal magic";
-            return result;
-        }
+    result.bytes = std::move(*file);
+    const std::string_view bytes = result.bytes;
+    std::size_t pos = 0;
+    if (!bytes.starts_with(journal_magic)) {
+        // Nothing trustworthy past a bad magic: the whole file is tail.
+        result.truncation_reason = "bad journal magic";
+    } else {
         pos = journal_magic.size();
-    } else if (pos > bytes.size()) {
-        result.truncation_reason = "journal shorter than resume offset";
-        return result;
     }
-    result.valid_bytes = pos;
-
-    while (pos < bytes.size()) {
+    while (result.truncation_reason.empty() && pos < bytes.size()) {
         if (bytes.size() - pos < header_bytes) {
             result.truncation_reason = "torn record header";
             break;
         }
         const auto type = static_cast<record_type>(static_cast<unsigned char>(bytes[pos]));
-        const std::uint32_t len = get_u32(bytes.data() + pos + 1);
-        const std::uint32_t crc = get_u32(bytes.data() + pos + 5);
+        const std::uint32_t len = codec::load_u32(bytes.data() + pos + 1);
         if (type != record_type::batch && type != record_type::tick &&
             type != record_type::finish) {
             result.truncation_reason = "unknown record type";
-            break;
-        }
-        if (bytes.size() - pos - header_bytes < len) {
+        } else if (bytes.size() - pos - header_bytes < len) {
             result.truncation_reason = "torn record payload";
-            break;
-        }
-        const std::string_view payload(bytes.data() + pos + header_bytes, len);
-        if (crc32c(payload) != crc) {
+        } else if (crc32c(bytes.substr(pos + header_bytes, len)) !=
+                   codec::load_u32(bytes.data() + pos + 5)) {
             result.truncation_reason = "payload checksum mismatch";
-            break;
-        }
-
-        journal_record record;
-        record.type = type;
-        if (type == record_type::batch) {
-            if (!decode_batch_payload(payload, record.batch)) {
-                // The CRC matched, so this is a writer/reader version
-                // mismatch, not a torn write — still cut here, the
-                // record cannot be replayed faithfully.
-                result.truncation_reason = "unparseable batch payload";
-                break;
-            }
         } else {
-            if (!decode_barrier_payload(payload, record.now)) {
-                result.truncation_reason = "barrier payload size mismatch";
-                break;
-            }
+            result.frames.push_back(journal_frame{.type = type, .offset = pos, .length = len});
+            pos += header_bytes + len;
         }
-        result.records.push_back(std::move(record));
-        pos += header_bytes + len;
-        result.valid_bytes = pos;
     }
-    result.truncated_tail_bytes = bytes.size() - result.valid_bytes;
+    result.valid_bytes = pos;
+    result.truncated_tail_bytes = bytes.size() - pos;
     return result;
+}
+
+void decode_journal(journal_read_result& journal, std::uint64_t from) {
+    for (std::size_t i = 0; i < journal.frames.size(); ++i) {
+        const journal_frame& frame = journal.frames[i];
+        if (frame.offset < from) continue;
+        const std::string_view payload(journal.bytes.data() + frame.offset + header_bytes,
+                                       frame.length);
+        journal_record record;
+        record.type = frame.type;
+        const bool batch = frame.type == record_type::batch;
+        if (batch ? !decode_batch_payload(payload, record.batch)
+                  : !decode_barrier_payload(payload, record.now)) {
+            // The CRC matched, so this is a writer/reader version
+            // mismatch, not a torn write — still cut here, the record
+            // cannot be replayed faithfully.
+            journal.truncation_reason =
+                batch ? "unparseable batch payload" : "barrier payload size mismatch";
+            journal.valid_bytes = frame.offset;
+            journal.truncated_tail_bytes = journal.bytes.size() - frame.offset;
+            journal.frames.resize(i);
+            return;
+        }
+        journal.records.push_back(std::move(record));
+    }
+}
+
+journal_read_result read_journal(const std::string& path) {
+    journal_read_result journal = scan_journal(path);
+    decode_journal(journal, 0);
+    return journal;
 }
 
 bool truncate_journal(const std::string& path, std::uint64_t valid_bytes) {

@@ -20,16 +20,17 @@ struct engine_hooks {
     std::function<void(sim_time, const network_state&)> barrier_done;
 };
 
-/// Re-interns the snapshot's paths in id order. The fresh topology
-/// already interned its construction-time paths in the same order (the
-/// table invariant), so every id must come back exactly as stored — a
-/// mismatch means the snapshot belongs to a different topology.
-void restore_locations(location_table& table, const std::vector<std::string>& paths) {
+/// Re-interns the snapshot's path dictionary in id order. The fresh
+/// topology already interned its construction-time paths in the same
+/// order (the table invariant), so every id must come back exactly as
+/// stored — a mismatch means the snapshot belongs to a different topology.
+void restore_locations(location_table& table, const std::vector<codec::path_entry>& paths) {
     for (std::size_t i = 0; i < paths.size(); ++i) {
-        const location_id id = table.intern(location::parse(paths[i]));
+        const codec::path_entry& e = paths[i];
+        const location_id id = table.intern_child(e.parent, e.segment);
         if (id != static_cast<location_id>(i + 1)) {
             throw skynet_error("recover: location table mismatch at id " + std::to_string(i + 1) +
-                               " ('" + paths[i] + "' interned as " + std::to_string(id) +
+                               " ('" + e.segment + "' interned as " + std::to_string(id) +
                                "); snapshot was taken against a different topology");
         }
     }
@@ -40,30 +41,33 @@ recovery_result recover_impl(const engine_hooks& hooks, location_table& location
     recovery_result r;
     const std::string journal_path = opts.dir + "/" + journal_filename;
 
-    journal_read_result scan = read_journal(journal_path);
-    r.journal_valid_bytes = scan.valid_bytes;
-    r.metrics.truncated_tail_bytes = scan.truncated_tail_bytes;
-    if (scan.missing) {
+    // One read and one header+CRC pass find the durable end; only the
+    // records past the chosen snapshot are decoded.
+    journal_read_result journal = scan_journal(journal_path);
+    snapshot_pick pick = load_newest_snapshot(opts.dir, journal.valid_bytes);
+    const std::uint64_t replay_from = pick.data ? pick.data->journal_bytes : 0;
+    decode_journal(journal, replay_from);
+    journal.bytes = std::string();
+
+    r.journal_valid_bytes = journal.valid_bytes;
+    r.metrics.truncated_tail_bytes = journal.truncated_tail_bytes;
+    if (journal.missing) {
         r.notes.push_back("journal missing; recovering from snapshots alone");
-    } else if (!scan.truncation_reason.empty()) {
-        r.notes.push_back("journal: " + scan.truncation_reason + " (" +
-                          std::to_string(scan.truncated_tail_bytes) + " tail bytes dropped)");
-        if (opts.repair_journal && !truncate_journal(journal_path, scan.valid_bytes)) {
+    } else if (!journal.truncation_reason.empty()) {
+        r.notes.push_back("journal: " + journal.truncation_reason + " (" +
+                          std::to_string(journal.truncated_tail_bytes) + " tail bytes dropped)");
+        if (opts.repair_journal && !truncate_journal(journal_path, journal.valid_bytes)) {
             r.notes.push_back("journal: tail trim failed; resume-append unsafe");
         }
     }
-
-    snapshot_pick pick = load_newest_snapshot(opts.dir, scan.valid_bytes);
     for (const skipped_snapshot& s : pick.skipped) {
         ++r.metrics.snapshots_skipped;
         r.notes.push_back("skipped " + s.file + ": " + s.reason);
     }
 
-    std::uint64_t replay_from = 0;
     if (pick.data) {
         snapshot_data& snap = *pick.data;
         restore_locations(locations, snap.locations);
-        replay_from = snap.journal_bytes;
         r.journal_records = snap.journal_records;
         r.next_snapshot_seq = snap.seq + 1;
         r.last_barrier_time = snap.barrier_time;
@@ -80,36 +84,31 @@ recovery_result recover_impl(const engine_hooks& hooks, location_table& location
         if (log != nullptr) log->restore({});
     }
 
-    if (!scan.missing) {
-        // Records between the snapshot's offset and the valid end.
-        journal_read_result suffix =
-            replay_from == 0 ? std::move(scan) : read_journal(journal_path, replay_from);
-        for (journal_record& rec : suffix.records) {
-            switch (rec.type) {
-                case record_type::batch:
-                    hooks.ingest(std::span<const traced_alert>(rec.batch));
-                    break;
-                case record_type::tick:
-                case record_type::finish:
-                    if (opts.tick_state == nullptr) {
-                        throw skynet_error(
-                            "recover: journal suffix contains barriers but no tick_state was "
-                            "provided");
-                    }
-                    if (rec.type == record_type::tick) {
-                        hooks.tick(rec.now, *opts.tick_state);
-                    } else {
-                        hooks.finish(rec.now, *opts.tick_state);
-                        r.saw_finish = true;
-                    }
-                    if (hooks.barrier_done) hooks.barrier_done(rec.now, *opts.tick_state);
-                    r.last_barrier_time = rec.now;
-                    break;
-            }
-            ++r.metrics.records_replayed;
+    for (journal_record& rec : journal.records) {
+        switch (rec.type) {
+            case record_type::batch:
+                hooks.ingest(std::span<const traced_alert>(rec.batch));
+                break;
+            case record_type::tick:
+            case record_type::finish:
+                if (opts.tick_state == nullptr) {
+                    throw skynet_error(
+                        "recover: journal suffix contains barriers but no tick_state was "
+                        "provided");
+                }
+                if (rec.type == record_type::tick) {
+                    hooks.tick(rec.now, *opts.tick_state);
+                } else {
+                    hooks.finish(rec.now, *opts.tick_state);
+                    r.saw_finish = true;
+                }
+                if (hooks.barrier_done) hooks.barrier_done(rec.now, *opts.tick_state);
+                r.last_barrier_time = rec.now;
+                break;
         }
-        r.journal_records += suffix.records.size();
+        ++r.metrics.records_replayed;
     }
+    r.journal_records += journal.records.size();
     return r;
 }
 

@@ -1,267 +1,93 @@
 #include "skynet/persist/report_codec.h"
 
-#include <bit>
-#include <charconv>
-#include <cstdio>
-#include <system_error>
-
-#include "skynet/sim/trace.h"
-
 namespace skynet::persist::codec {
 
-// ---------------------------------------------------------------- writing
-
-void put(std::string& out, std::string_view field) {
-    out += '\t';
-    out += field;
-}
-
-void put_u64(std::string& out, std::uint64_t v) { put(out, std::to_string(v)); }
-void put_i64(std::string& out, std::int64_t v) { put(out, std::to_string(v)); }
-
-void put_double(std::string& out, double v) {
-    char buf[20];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-    put(out, buf);
-}
-
-void put_alert(std::string& out, const structured_alert& a) {
-    put_u64(out, a.type);
-    put(out, a.type_name);
-    put(out, source_token(a.source));
-    switch (a.category) {
-        case alert_category::failure: put(out, "f"); break;
-        case alert_category::abnormal: put(out, "a"); break;
-        case alert_category::root_cause: put(out, "r"); break;
-    }
-    put_i64(out, a.when.begin);
-    put_i64(out, a.when.end);
-    put_u64(out, a.loc_id);
-    put_i64(out, a.count);
-    put_double(out, a.metric);
-    put(out, a.device ? std::to_string(*a.device) : "-");
-    put_u64(out, a.src_id);
-    put_u64(out, a.dst_id);
-    put(out, a.loc.to_string());
-    put(out, a.src_loc ? a.src_loc->to_string() : "-");
-    put(out, a.dst_loc ? a.dst_loc->to_string() : "-");
-}
-
-void put_severity(std::string& out, const severity_breakdown& s) {
-    put_double(out, s.impact_factor);
-    put_double(out, s.time_factor);
-    put_double(out, s.score);
-    put_double(out, s.avg_ping_loss);
-    put_double(out, s.max_sla_overload);
-    put_i64(out, s.important_customers);
-    put_i64(out, s.duration);
-    put_i64(out, s.circuit_sets);
-}
-
-void put_incident(std::string& out, const incident& inc) {
-    out += "INC";
-    put_u64(out, inc.id);
-    put_u64(out, inc.root_id);
-    put_i64(out, inc.when.begin);
-    put_i64(out, inc.when.end);
-    put(out, inc.closed ? "1" : "0");
-    put_u64(out, inc.alerts.size());
-    put(out, inc.root.to_string());
-    out += '\n';
-    for (const structured_alert& a : inc.alerts) {
-        out += "IA";
-        put_alert(out, a);
-        out += '\n';
-    }
-}
-
-void put_report(std::string& out, const incident_report& r) {
-    out += "REP";
-    put(out, r.actionable ? "1" : "0");
-    put(out, r.zoomed ? r.zoomed->to_string() : "-");
-    put_severity(out, r.severity);
-    out += '\n';
-    put_incident(out, r.inc);
-}
-
-// ---------------------------------------------------------------- parsing
-
-std::vector<std::string_view> split_tabs(std::string_view line) {
-    std::vector<std::string_view> fields;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t tab = line.find('\t', start);
-        if (tab == std::string_view::npos) {
-            fields.push_back(line.substr(start));
-            return fields;
-        }
-        fields.push_back(line.substr(start, tab - start));
-        start = tab + 1;
-    }
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-    return ec == std::errc{} && p == s.data() + s.size();
-}
-
-bool parse_i64(std::string_view s, std::int64_t& out) {
-    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-    return ec == std::errc{} && p == s.data() + s.size();
-}
-
-bool parse_double_hex(std::string_view s, double& out) {
-    std::uint64_t bits = 0;
-    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), bits, 16);
-    if (ec != std::errc{} || p != s.data() + s.size()) return false;
-    out = std::bit_cast<double>(bits);
-    return true;
-}
-
-bool cursor::fail(const std::string& message) {
-    if (err.empty()) err = "line " + std::to_string(line_no) + ": " + message;
+bool reader::fail(const std::string& reason) {
+    if (err_.empty()) err_ = "byte " + std::to_string(pos_) + ": " + reason;
     return false;
 }
 
-bool cursor::next(std::vector<std::string_view>& fields) {
-    if (!err.empty()) return false;
-    if (pos >= text.size()) {
-        ++line_no;
-        return fail("unexpected end of snapshot");
+// ---------------------------------------------------------------- paths
+
+std::uint32_t path_writer::ref(const location& loc, location_id hint) {
+    const std::vector<std::string>& segs = loc.segments();
+    if (hint != invalid_location_id && hint <= size()) {
+        std::uint32_t at_index = hint;
+        auto seg = segs.rbegin();
+        for (; seg != segs.rend() && at_index != 0 && at(at_index).segment == *seg; ++seg) {
+            at_index = at(at_index).parent;
+        }
+        if (seg == segs.rend() && at_index == 0) return hint;
     }
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    fields = split_tabs(text.substr(pos, end - pos));
-    pos = end + 1;
-    ++line_no;
-    return true;
-}
-
-bool cursor::expect(std::string_view tag, std::size_t n, std::vector<std::string_view>& fields) {
-    if (!next(fields)) return false;
-    if (fields.empty() || fields[0] != tag) {
-        return fail("expected '" + std::string(tag) + "' record");
+    for (; indexed_ < size(); ++indexed_) {
+        const path_entry& e = at(static_cast<std::uint32_t>(indexed_ + 1));
+        children_.emplace(std::pair{e.parent, std::string_view(e.segment)},
+                          static_cast<std::uint32_t>(indexed_ + 1));
     }
-    if (fields.size() != n + 1) {
-        return fail("'" + std::string(tag) + "' field count: got " +
-                    std::to_string(fields.size() - 1) + ", want " + std::to_string(n));
+    std::uint32_t index = 0;
+    for (const std::string& seg : segs) {
+        const auto it = children_.find(std::pair{index, std::string_view(seg)});
+        if (it != children_.end()) {
+            index = it->second;
+            continue;
+        }
+        added_.push_back(path_entry{index, seg});
+        index = static_cast<std::uint32_t>(size());
+        children_.emplace(std::pair{added_.back().parent, std::string_view(added_.back().segment)},
+                          index);
+        indexed_ = size();
     }
-    return true;
+    return index;
 }
 
-bool cursor::u64(std::string_view s, std::uint64_t& out) {
-    return parse_u64(s, out) || fail("bad integer '" + std::string(s) + "'");
-}
-
-bool cursor::i64(std::string_view s, std::int64_t& out) {
-    return parse_i64(s, out) || fail("bad integer '" + std::string(s) + "'");
-}
-
-bool cursor::u32(std::string_view s, std::uint32_t& out) {
-    std::uint64_t wide = 0;
-    if (!parse_u64(s, wide) || wide > 0xFFFFFFFFull) {
-        return fail("bad u32 '" + std::string(s) + "'");
+void path_writer::put(std::string& out) const {
+    put_u64(out, size());
+    for (std::size_t i = 1; i <= size(); ++i) {
+        const path_entry& e = at(static_cast<std::uint32_t>(i));
+        put_u32(out, e.parent);
+        put_str(out, e.segment);
     }
-    out = static_cast<std::uint32_t>(wide);
-    return true;
 }
 
-bool cursor::dbl(std::string_view s, double& out) {
-    return parse_double_hex(s, out) || fail("bad double bits '" + std::string(s) + "'");
-}
-
-bool cursor::flag(std::string_view s, bool& out) {
-    if (s == "0") out = false;
-    else if (s == "1") out = true;
-    else return fail("bad flag '" + std::string(s) + "'");
-    return true;
-}
-
-bool get_alert(cursor& c, const std::vector<std::string_view>& fields, std::size_t at,
-               structured_alert& a) {
-    std::uint64_t count = 0;
-    if (!c.u32(fields[at + 0], a.type)) return false;
-    a.type_name = std::string(fields[at + 1]);
-    if (const auto src = parse_source(fields[at + 2])) a.source = *src;
-    else return c.fail("bad source '" + std::string(fields[at + 2]) + "'");
-    if (fields[at + 3] == "f") a.category = alert_category::failure;
-    else if (fields[at + 3] == "a") a.category = alert_category::abnormal;
-    else if (fields[at + 3] == "r") a.category = alert_category::root_cause;
-    else return c.fail("bad category '" + std::string(fields[at + 3]) + "'");
-    if (!c.i64(fields[at + 4], a.when.begin)) return false;
-    if (!c.i64(fields[at + 5], a.when.end)) return false;
-    if (!c.u32(fields[at + 6], a.loc_id)) return false;
-    if (!c.u64(fields[at + 7], count)) return false;
-    a.count = static_cast<int>(count);
-    if (!c.dbl(fields[at + 8], a.metric)) return false;
-    if (fields[at + 9] == "-") {
-        a.device = std::nullopt;
-    } else {
-        std::uint32_t dev = 0;
-        if (!c.u32(fields[at + 9], dev)) return false;
-        a.device = dev;
+bool path_reader::read(reader& in) {
+    const std::size_t n = in.count(8);
+    entries_.resize(n);
+    std::vector<std::uint8_t> depth(n + 1, 0);
+    for (std::size_t i = 1; i <= n && in.ok(); ++i) {
+        path_entry& e = entries_[i - 1];
+        e.parent = in.u32();
+        e.segment = in.str();
+        if (e.parent >= i || depth[e.parent] >= max_depth) {
+            return in.fail("path entry " + std::to_string(i) +
+                           (e.parent >= i ? " precedes its parent" : " is too deep"));
+        }
+        depth[i] = static_cast<std::uint8_t>(depth[e.parent] + 1);
     }
-    if (!c.u32(fields[at + 10], a.src_id)) return false;
-    if (!c.u32(fields[at + 11], a.dst_id)) return false;
-    a.loc = location::parse(fields[at + 12]);
-    a.src_loc = fields[at + 13] == "-" ? std::nullopt
-                                       : std::optional(location::parse(fields[at + 13]));
-    a.dst_loc = fields[at + 14] == "-" ? std::nullopt
-                                       : std::optional(location::parse(fields[at + 14]));
-    return true;
+    paths_.assign(n + 1, location{});
+    built_.assign(n + 1, 0);
+    built_[0] = 1;
+    return in.ok();
 }
 
-bool get_severity(cursor& c, const std::vector<std::string_view>& fields, std::size_t at,
-                  severity_breakdown& s) {
-    std::int64_t important = 0;
-    std::int64_t csets = 0;
-    if (!c.dbl(fields[at + 0], s.impact_factor)) return false;
-    if (!c.dbl(fields[at + 1], s.time_factor)) return false;
-    if (!c.dbl(fields[at + 2], s.score)) return false;
-    if (!c.dbl(fields[at + 3], s.avg_ping_loss)) return false;
-    if (!c.dbl(fields[at + 4], s.max_sla_overload)) return false;
-    if (!c.i64(fields[at + 5], important)) return false;
-    if (!c.i64(fields[at + 6], s.duration)) return false;
-    if (!c.i64(fields[at + 7], csets)) return false;
-    s.important_customers = static_cast<int>(important);
-    s.circuit_sets = static_cast<int>(csets);
-    return true;
-}
-
-bool get_incident(cursor& c, incident& inc) {
-    std::vector<std::string_view> f;
-    if (!c.expect("INC", 7, f)) return false;
-    std::uint64_t n_alerts = 0;
-    bool closed = false;
-    if (!c.u64(f[1], inc.id)) return false;
-    if (!c.u32(f[2], inc.root_id)) return false;
-    if (!c.i64(f[3], inc.when.begin)) return false;
-    if (!c.i64(f[4], inc.when.end)) return false;
-    if (!c.flag(f[5], closed)) return false;
-    if (!c.u64(f[6], n_alerts)) return false;
-    inc.root = location::parse(f[7]);
-    inc.closed = closed;
-    inc.alerts.clear();
-    inc.alerts.reserve(n_alerts);
-    for (std::uint64_t i = 0; i < n_alerts; ++i) {
-        if (!c.expect("IA", alert_fields, f)) return false;
-        structured_alert a;
-        if (!get_alert(c, f, 1, a)) return false;
-        inc.alerts.push_back(std::move(a));
+const location& path_reader::path(std::uint32_t index) {
+    if (!built_[index]) {
+        const path_entry& e = entries_[index - 1];
+        paths_[index] = path(e.parent).child(e.segment);
+        built_[index] = 1;
     }
-    return true;
+    return paths_[index];
 }
 
-bool get_report(cursor& c, incident_report& r) {
-    std::vector<std::string_view> f;
-    if (!c.expect("REP", 10, f)) return false;
-    bool actionable = false;
-    if (!c.flag(f[1], actionable)) return false;
-    r.actionable = actionable;
-    r.zoomed = f[2] == "-" ? std::nullopt : std::optional(location::parse(f[2]));
-    if (!get_severity(c, f, 3, r.severity)) return false;
-    return get_incident(c, r.inc);
+const location& path_reader::get(reader& in, std::uint32_t ref) {
+    if (ref < paths_.size()) return path(ref);
+    in.fail("bad path reference " + std::to_string(ref));
+    static const location root;
+    return root;
+}
+
+std::optional<location> path_reader::get_optional(reader& in, std::uint32_t ref) {
+    if (ref == no_path) return std::nullopt;
+    return get(in, ref);
 }
 
 }  // namespace skynet::persist::codec

@@ -1,7 +1,6 @@
 #include "skynet/persist/snapshot.h"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <filesystem>
@@ -9,662 +8,238 @@
 #include <system_error>
 
 #include "skynet/persist/crc32c.h"
-#include "skynet/persist/report_codec.h"
-#include "skynet/sim/trace.h"
+#include "skynet/persist/journal.h"
 
 namespace skynet::persist {
 
 namespace {
 
-// The alert/severity/incident/report codec and the line cursor live in
-// persist::codec (shared with the federation digests); this file keeps only
-// the snapshot-specific record shapes layered on top of them.
 using namespace codec;
 
-// ---------------------------------------------------------------- writing
+// One field order, driven by an encoder (render) or a decoder (parse).
+// The second argument of io.list() is an element's smallest encoding.
 
-void put_node(std::string& out, const locator::persist_state::node_state& n) {
-    out += "N";
-    put_u64(out, n.loc);
-    put_i64(out, n.last_update);
-    put_u64(out, n.alerts.size());
-    out += '\n';
-    for (const locator::stored_alert& a : n.alerts) {
-        out += "A";
-        put_i64(out, a.inserted);
-        put_alert(out, a.alert);
-        out += '\n';
+using stats = preprocessor_stats;
+constexpr std::int64_t stats::*preprocessor_counters[] = {
+    &stats::raw_in,           &stats::emitted_new,          &stats::emitted_update,
+    &stats::merged_identical, &stats::dropped_sporadic,     &stats::dropped_unclassified,
+    &stats::dropped_uncorroborated, &stats::merged_related, &stats::rejected_malformed,
+    &stats::skew_clamped};
+
+constexpr std::uint64_t overload_metrics::*overload_counters[] = {
+    &overload_metrics::admitted,       &overload_metrics::shed_duplicate,
+    &overload_metrics::shed_other,     &overload_metrics::shed_root_cause,
+    &overload_metrics::shed_failure,   &overload_metrics::shed_bytes,
+    &overload_metrics::breaker_trips,  &overload_metrics::breaker_reopens,
+    &overload_metrics::breaker_closes, &overload_metrics::quarantined,
+    &overload_metrics::probes_admitted};
+
+constexpr std::uint64_t lifecycle_metrics::*lifecycle_counters[] = {
+    &lifecycle_metrics::tracked,         &lifecycle_metrics::recurrences_linked,
+    &lifecycle_metrics::flaps_collapsed, &lifecycle_metrics::realerts_suppressed,
+    &lifecycle_metrics::auto_closed,     &lifecycle_metrics::reopened,
+    &lifecycle_metrics::diffs_emitted};
+
+using diff = lifecycle::barrier_diff;
+constexpr std::vector<lifecycle::diff_entry> diff::*diff_lists[] = {
+    &diff::opened, &diff::escalated, &diff::deescalated, &diff::resolved, &diff::flapping};
+
+constexpr std::size_t min_node_bytes = 20;
+constexpr std::size_t min_engine_bytes = 160;
+
+template <typename Io, typename Node> void node_fields(Io& io, Node& n) {
+    io.u32(n.loc);
+    io.i64(n.last_update);
+    io.list(n.alerts, 8 + min_alert_bytes, [&](auto& a) {
+        io.i64(a.inserted);
+        alert_fields(io, a.alert);
+    });
+}
+
+template <typename Io, typename Pending> void pending_fields(Io& io, Pending& p) {
+    io.i64(p.occurrences);
+    io.i64(p.first_seen);
+    io.i64(p.last_seen);
+    io.i64(p.last_counted_ts);
+    alert_fields(io, p.alert);
+}
+
+template <typename Io, typename Engine> void engine_fields(Io& io, Engine& e) {
+    for (const auto field : preprocessor_counters) io.i64(e.pre.stats.*field);
+    io.i64(e.structured_count);
+    io.list(e.pre.open, 8 + min_alert_bytes, [&](auto& o) {
+        io.i64(o.last_seen);
+        alert_fields(io, o.alert);
+    });
+    io.list(e.pre.persistence, 32 + min_alert_bytes, [&](auto& p) { pending_fields(io, p); });
+    io.list(e.pre.correlation, 32 + min_alert_bytes, [&](auto& p) { pending_fields(io, p); });
+    io.list(e.pre.sightings, 12, [&](auto& s) {
+        io.u32(s.loc);
+        io.i64(s.at);
+    });
+    io.list(e.loc.nodes, min_node_bytes, [&](auto& n) { node_fields(io, n); });
+    io.list(e.loc.incidents, 20 + min_incident_bytes, [&](auto& entry) {
+        io.u32(entry.root_id);
+        io.i64(entry.update_time);
+        incident_fields(io, entry.inc);
+        io.list(entry.nodes, min_node_bytes, [&](auto& n) { node_fields(io, n); });
+    });
+    io.u64(e.loc.next_incident_id);
+    io.list(e.live_scores, 8 + severity_bytes, [&](auto& score) {
+        io.u64(score.first);
+        severity_fields(io, score.second);
+    });
+    io.list(e.finished, min_report_bytes, [&](auto& r) { report_fields(io, r); });
+}
+
+template <typename Io, typename Overload> void overload_fields(Io& io, Overload& ov) {
+    io.u64(ov.window_alerts);
+    io.u64(ov.window_bytes);
+    io.list(ov.dedup_keys, 4, [&](auto& key) { io.str(key); });
+    io.fixed(ov.breakers.size(), "breaker count");
+    for (auto& b : ov.breakers) {
+        io.u8(b.state);
+        io.check(b.state <= overload::breaker_state::half_open, "bad breaker state");
+        io.u64(b.window_good);
+        io.u64(b.window_bad);
+        io.i64(b.window_start);
+        io.i64(b.reopen_at);
+        io.i64(b.backoff);
+        io.u32(b.probes_left);
+        io.u64(b.trips);
+        io.u64(b.quarantined);
+    }
+    for (const auto field : overload_counters) io.u64(ov.counters.*field);
+}
+
+template <typename Io, typename Lifecycle> void lifecycle_fields(Io& io, Lifecycle& lc) {
+    io.i64(lc.last_barrier);
+    for (const auto field : lifecycle_counters) io.u64(lc.counters.*field);
+    io.list(lc.lineages, 82, [&](auto& ln) {
+        io.u64(ln.id);
+        io.str(ln.root);
+        io.u8(ln.state);
+        io.check(ln.state <= lifecycle::phase::auto_closed, "bad lineage state");
+        io.u32(ln.occurrences);
+        io.u64(ln.suppressed_realerts);
+        io.i64(ln.first_seen);
+        io.i64(ln.last_activity);
+        io.i64(ln.last_closed);
+        io.dbl(ln.last_score);
+        io.dbl(ln.peak_score);
+        io.flag(ln.engine_open);
+        io.list(ln.types, 4, [&](auto& t) { io.u32(t); });
+        io.list(ln.members, 8, [&](auto& m) { io.u64(m); });
+    });
+    io.list(lc.collected, min_report_bytes, [&](auto& r) { report_fields(io, r); });
+    io.i64(lc.last_diff.at);
+    for (const auto entries : diff_lists) {
+        io.list(lc.last_diff.*entries, 32, [&](auto& e) {
+            io.u64(e.lineage);
+            io.str(e.root);
+            io.dbl(e.score);
+            io.dbl(e.prev_score);
+            io.u32(e.occurrences);
+        });
     }
 }
 
-void put_pending(std::string& out, char tag,
-                 const preprocessor::persist_state::pending_entry& p) {
-    out += tag;
-    put_i64(out, p.occurrences);
-    put_i64(out, p.first_seen);
-    put_i64(out, p.last_seen);
-    put_i64(out, p.last_counted_ts);
-    put_alert(out, p.alert);
-    out += '\n';
+template <typename Io, typename Data> void meta_fields(Io& io, Data& d) {
+    io.u64(d.seq);
+    io.u64(d.journal_bytes);
+    io.u64(d.journal_records);
+    io.i64(d.barrier_time);
+    io.u64(d.engines.next_region_shard);
 }
 
-void put_engine(std::string& out, std::size_t index, const skynet_engine::persist_state& e) {
-    out += "engine";
-    put_u64(out, index);
-    out += '\n';
-
-    const preprocessor_stats& st = e.pre.stats;
-    out += "stats";
-    put_i64(out, st.raw_in);
-    put_i64(out, st.emitted_new);
-    put_i64(out, st.emitted_update);
-    put_i64(out, st.merged_identical);
-    put_i64(out, st.dropped_sporadic);
-    put_i64(out, st.dropped_unclassified);
-    put_i64(out, st.dropped_uncorroborated);
-    put_i64(out, st.merged_related);
-    put_i64(out, st.rejected_malformed);
-    put_i64(out, st.skew_clamped);
-    out += '\n';
-
-    out += "count";
-    put_i64(out, e.structured_count);
-    out += '\n';
-
-    out += "open";
-    put_u64(out, e.pre.open.size());
-    out += '\n';
-    for (const auto& o : e.pre.open) {
-        out += "O";
-        put_i64(out, o.last_seen);
-        put_alert(out, o.alert);
-        out += '\n';
-    }
-
-    out += "persistence";
-    put_u64(out, e.pre.persistence.size());
-    out += '\n';
-    for (const auto& p : e.pre.persistence) put_pending(out, 'P', p);
-
-    out += "correlation";
-    put_u64(out, e.pre.correlation.size());
-    out += '\n';
-    for (const auto& c : e.pre.correlation) put_pending(out, 'C', c);
-
-    out += "sightings";
-    put_u64(out, e.pre.sightings.size());
-    out += '\n';
-    for (const auto& s : e.pre.sightings) {
-        out += "S";
-        put_u64(out, s.loc);
-        put_i64(out, s.at);
-        out += '\n';
-    }
-
-    out += "nodes";
-    put_u64(out, e.loc.nodes.size());
-    out += '\n';
-    for (const auto& n : e.loc.nodes) put_node(out, n);
-
-    out += "incidents";
-    put_u64(out, e.loc.incidents.size());
-    out += '\n';
-    for (const auto& entry : e.loc.incidents) {
-        out += "I";
-        put_u64(out, entry.root_id);
-        put_i64(out, entry.update_time);
-        put_u64(out, entry.nodes.size());
-        out += '\n';
-        put_incident(out, entry.inc);
-        for (const auto& n : entry.nodes) put_node(out, n);
-    }
-
-    out += "next_incident";
-    put_u64(out, e.loc.next_incident_id);
-    out += '\n';
-
-    out += "scores";
-    put_u64(out, e.live_scores.size());
-    out += '\n';
-    for (const auto& [id, sev] : e.live_scores) {
-        out += "Y";
-        put_u64(out, id);
-        put_severity(out, sev);
-        out += '\n';
-    }
-
-    out += "finished";
-    put_u64(out, e.finished.size());
-    out += '\n';
-    for (const incident_report& r : e.finished) put_report(out, r);
+/// Everything after the path dictionary.
+template <typename Io, typename Data> void body_fields(Io& io, Data& d) {
+    io.list(d.engines.regions, 12, [&](auto& r) {
+        io.u32(r.first);
+        io.u64(r.second);
+    });
+    io.list(d.engines.shards, min_engine_bytes, [&](auto& e) { engine_fields(io, e); });
+    overload_fields(io, d.overload);
+    lifecycle_fields(io, d.lifecycle);
+    io.list(d.log, 9 + min_report_bytes, [&](auto& e) {
+        io.i64(e.closed_at);
+        io.maybe(e.attributed_to_failure, [&](auto& labeled) { io.flag(labeled); });
+        report_fields(io, e.report);
+    });
 }
 
-// ---------------------------------------------------------------- parsing
-
-bool get_node(cursor& c, locator::persist_state::node_state& n) {
-    std::vector<std::string_view> f;
-    if (!c.expect("N", 3, f)) return false;
-    std::uint64_t n_alerts = 0;
-    if (!c.u32(f[1], n.loc)) return false;
-    if (!c.i64(f[2], n.last_update)) return false;
-    if (!c.u64(f[3], n_alerts)) return false;
-    n.alerts.clear();
-    n.alerts.reserve(n_alerts);
-    for (std::uint64_t i = 0; i < n_alerts; ++i) {
-        if (!c.expect("A", alert_fields + 1, f)) return false;
-        locator::stored_alert a;
-        if (!c.i64(f[1], a.inserted)) return false;
-        if (!get_alert(c, f, 2, a.alert)) return false;
-        n.alerts.push_back(std::move(a));
-    }
-    return true;
-}
-
-bool get_pending(cursor& c, std::string_view tag,
-                 preprocessor::persist_state::pending_entry& p) {
-    std::vector<std::string_view> f;
-    if (!c.expect(tag, alert_fields + 4, f)) return false;
-    std::int64_t occ = 0;
-    if (!c.i64(f[1], occ)) return false;
-    if (!c.i64(f[2], p.first_seen)) return false;
-    if (!c.i64(f[3], p.last_seen)) return false;
-    if (!c.i64(f[4], p.last_counted_ts)) return false;
-    p.occurrences = static_cast<int>(occ);
-    return get_alert(c, f, 5, p.alert);
-}
-
-bool get_count(cursor& c, std::string_view tag, std::uint64_t& n) {
-    std::vector<std::string_view> f;
-    if (!c.expect(tag, 1, f)) return false;
-    return c.u64(f[1], n);
-}
-
-bool get_engine(cursor& c, skynet_engine::persist_state& e) {
-    std::vector<std::string_view> f;
-    if (!c.expect("stats", 10, f)) return false;
-    preprocessor_stats& st = e.pre.stats;
-    if (!c.i64(f[1], st.raw_in) || !c.i64(f[2], st.emitted_new) ||
-        !c.i64(f[3], st.emitted_update) || !c.i64(f[4], st.merged_identical) ||
-        !c.i64(f[5], st.dropped_sporadic) || !c.i64(f[6], st.dropped_unclassified) ||
-        !c.i64(f[7], st.dropped_uncorroborated) || !c.i64(f[8], st.merged_related) ||
-        !c.i64(f[9], st.rejected_malformed) || !c.i64(f[10], st.skew_clamped)) {
-        return false;
-    }
-
-    if (!c.expect("count", 1, f)) return false;
-    if (!c.i64(f[1], e.structured_count)) return false;
-
-    std::uint64_t n = 0;
-    if (!get_count(c, "open", n)) return false;
-    e.pre.open.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (!c.expect("O", alert_fields + 1, f)) return false;
-        preprocessor::persist_state::open_entry o;
-        if (!c.i64(f[1], o.last_seen)) return false;
-        if (!get_alert(c, f, 2, o.alert)) return false;
-        e.pre.open.push_back(std::move(o));
-    }
-
-    if (!get_count(c, "persistence", n)) return false;
-    e.pre.persistence.resize(n);
-    for (auto& p : e.pre.persistence) {
-        if (!get_pending(c, "P", p)) return false;
-    }
-
-    if (!get_count(c, "correlation", n)) return false;
-    e.pre.correlation.resize(n);
-    for (auto& p : e.pre.correlation) {
-        if (!get_pending(c, "C", p)) return false;
-    }
-
-    if (!get_count(c, "sightings", n)) return false;
-    e.pre.sightings.resize(n);
-    for (auto& s : e.pre.sightings) {
-        if (!c.expect("S", 2, f)) return false;
-        if (!c.u32(f[1], s.loc)) return false;
-        if (!c.i64(f[2], s.at)) return false;
-    }
-
-    if (!get_count(c, "nodes", n)) return false;
-    e.loc.nodes.resize(n);
-    for (auto& node : e.loc.nodes) {
-        if (!get_node(c, node)) return false;
-    }
-
-    if (!get_count(c, "incidents", n)) return false;
-    e.loc.incidents.resize(n);
-    for (auto& entry : e.loc.incidents) {
-        if (!c.expect("I", 3, f)) return false;
-        std::uint64_t n_nodes = 0;
-        if (!c.u32(f[1], entry.root_id)) return false;
-        if (!c.i64(f[2], entry.update_time)) return false;
-        if (!c.u64(f[3], n_nodes)) return false;
-        if (!get_incident(c, entry.inc)) return false;
-        entry.nodes.resize(n_nodes);
-        for (auto& node : entry.nodes) {
-            if (!get_node(c, node)) return false;
-        }
-    }
-
-    if (!c.expect("next_incident", 1, f)) return false;
-    if (!c.u64(f[1], e.loc.next_incident_id)) return false;
-
-    if (!get_count(c, "scores", n)) return false;
-    e.live_scores.resize(n);
-    for (auto& [id, sev] : e.live_scores) {
-        if (!c.expect("Y", 9, f)) return false;
-        if (!c.u64(f[1], id)) return false;
-        if (!get_severity(c, f, 2, sev)) return false;
-    }
-
-    if (!get_count(c, "finished", n)) return false;
-    e.finished.resize(n);
-    for (auto& r : e.finished) {
-        if (!get_report(c, r)) return false;
-    }
-    return true;
-}
+constexpr std::size_t header_bytes = snapshot_magic.size() + 4;  // magic, version
 
 }  // namespace
 
 std::string render_snapshot(const snapshot_data& data) {
-    std::string out(snapshot_header);
-    out += '\n';
+    // The body goes first into its own buffer: encoding it may append
+    // paths outside the location table to the dictionary, which the file
+    // holds before the body.
+    path_writer paths(data.locations);
+    std::string body;
+    encoder body_io{body, paths};
+    body_fields(body_io, data);
 
-    out += "meta";
-    put_u64(out, data.seq);
-    put_u64(out, data.journal_bytes);
-    put_u64(out, data.journal_records);
-    put_i64(out, data.barrier_time);
-    put_u64(out, data.engines.next_region_shard);
-    out += '\n';
-
-    out += "locations";
-    put_u64(out, data.locations.size());
-    out += '\n';
-    for (const std::string& path : data.locations) {
-        out += "L";
-        put(out, path);
-        out += '\n';
-    }
-
-    out += "regions";
-    put_u64(out, data.engines.regions.size());
-    out += '\n';
-    for (const auto& [region, shard] : data.engines.regions) {
-        out += "R";
-        put_u64(out, region);
-        put_u64(out, shard);
-        out += '\n';
-    }
-
-    out += "engines";
-    put_u64(out, data.engines.shards.size());
-    out += '\n';
-    for (std::size_t i = 0; i < data.engines.shards.size(); ++i) {
-        put_engine(out, i, data.engines.shards[i]);
-    }
-
-    const overload::controller::persist_state& ov = data.overload;
-    out += "overload";
-    put_u64(out, ov.window_alerts);
-    put_u64(out, ov.window_bytes);
-    put_u64(out, ov.dedup_keys.size());
-    put_u64(out, ov.breakers.size());
-    out += '\n';
-    for (const std::string& key : ov.dedup_keys) {
-        out += "D";
-        put(out, key);
-        out += '\n';
-    }
-    for (const overload::breaker_status& b : ov.breakers) {
-        out += "B";
-        put_u64(out, static_cast<std::uint64_t>(b.state));
-        put_u64(out, b.window_good);
-        put_u64(out, b.window_bad);
-        put_i64(out, b.window_start);
-        put_i64(out, b.reopen_at);
-        put_i64(out, b.backoff);
-        put_u64(out, b.probes_left);
-        put_u64(out, b.trips);
-        put_u64(out, b.quarantined);
-        out += '\n';
-    }
-    const overload_metrics& oc = ov.counters;
-    out += "ocounters";
-    put_u64(out, oc.admitted);
-    put_u64(out, oc.shed_duplicate);
-    put_u64(out, oc.shed_other);
-    put_u64(out, oc.shed_root_cause);
-    put_u64(out, oc.shed_failure);
-    put_u64(out, oc.shed_bytes);
-    put_u64(out, oc.breaker_trips);
-    put_u64(out, oc.breaker_reopens);
-    put_u64(out, oc.breaker_closes);
-    put_u64(out, oc.quarantined);
-    put_u64(out, oc.probes_admitted);
-    out += '\n';
-
-    const lifecycle::manager::persist_state& lc = data.lifecycle;
-    out += "lifecycle";
-    put_i64(out, lc.last_barrier);
-    put_u64(out, lc.lineages.size());
-    put_u64(out, lc.collected.size());
-    out += '\n';
-    const lifecycle_metrics& lm = lc.counters;
-    out += "lcounters";
-    put_u64(out, lm.tracked);
-    put_u64(out, lm.recurrences_linked);
-    put_u64(out, lm.flaps_collapsed);
-    put_u64(out, lm.realerts_suppressed);
-    put_u64(out, lm.auto_closed);
-    put_u64(out, lm.reopened);
-    put_u64(out, lm.diffs_emitted);
-    out += '\n';
-    for (const lifecycle::lineage& ln : lc.lineages) {
-        out += "LIN";
-        put_u64(out, ln.id);
-        put(out, ln.root);
-        put_u64(out, static_cast<std::uint64_t>(ln.state));
-        put_u64(out, ln.occurrences);
-        put_u64(out, ln.suppressed_realerts);
-        put_i64(out, ln.first_seen);
-        put_i64(out, ln.last_activity);
-        put_i64(out, ln.last_closed);
-        put_double(out, ln.last_score);
-        put_double(out, ln.peak_score);
-        put(out, ln.engine_open ? "1" : "0");
-        put_u64(out, ln.types.size());
-        put_u64(out, ln.members.size());
-        out += '\n';
-        for (std::uint32_t t : ln.types) {
-            out += "LT";
-            put_u64(out, t);
-            out += '\n';
-        }
-        for (std::uint64_t m : ln.members) {
-            out += "LM";
-            put_u64(out, m);
-            out += '\n';
-        }
-    }
-    for (const incident_report& r : lc.collected) put_report(out, r);
-    const lifecycle::barrier_diff& ld = lc.last_diff;
-    out += "ldiff";
-    put_i64(out, ld.at);
-    put_u64(out, ld.opened.size());
-    put_u64(out, ld.escalated.size());
-    put_u64(out, ld.deescalated.size());
-    put_u64(out, ld.resolved.size());
-    put_u64(out, ld.flapping.size());
-    out += '\n';
-    auto put_entries = [&out](const std::vector<lifecycle::diff_entry>& entries) {
-        for (const lifecycle::diff_entry& e : entries) {
-            out += "LD";
-            put_u64(out, e.lineage);
-            put(out, e.root);
-            put_double(out, e.score);
-            put_double(out, e.prev_score);
-            put_u64(out, e.occurrences);
-            out += '\n';
-        }
-    };
-    put_entries(ld.opened);
-    put_entries(ld.escalated);
-    put_entries(ld.deescalated);
-    put_entries(ld.resolved);
-    put_entries(ld.flapping);
-
-    out += "log";
-    put_u64(out, data.log.size());
-    out += '\n';
-    for (const incident_log::entry& e : data.log) {
-        out += "E";
-        put_i64(out, e.closed_at);
-        put(out, e.attributed_to_failure ? (*e.attributed_to_failure ? "1" : "0") : "-");
-        out += '\n';
-        put_report(out, e.report);
-    }
-
-    char trailer[20];
-    std::snprintf(trailer, sizeof trailer, "crc\t%08x\n", crc32c(out));
-    out += trailer;
+    std::string out(snapshot_magic);
+    out.reserve(body.size() + data.locations.size() * 16 + 128);
+    encoder io{out, paths};
+    io.u32(snapshot_version);
+    meta_fields(io, data);
+    io.u64(data.locations.size());
+    paths.put(out);
+    out += body;
+    put_u32(out, crc32c(out));
     return out;
 }
 
-snapshot_parse_result parse_snapshot(std::string_view text) {
+snapshot_parse_result parse_snapshot(std::string_view bytes) {
     snapshot_parse_result result;
-
-    // Locate and verify the CRC trailer first: any flipped bit in the
-    // body invalidates the file before structural parsing begins.
-    const std::size_t crc_at = text.rfind("crc\t");
-    if (crc_at == std::string_view::npos || (crc_at != 0 && text[crc_at - 1] != '\n')) {
-        result.error = "missing crc trailer";
+    if (bytes.starts_with("# skynet snapshot v1")) {
+        result.error = "unsupported snapshot version 1 (text); this build reads version 2";
         return result;
     }
-    std::string_view crc_field = text.substr(crc_at + 4);
-    while (!crc_field.empty() && (crc_field.back() == '\n' || crc_field.back() == '\r')) {
-        crc_field.remove_suffix(1);
+    if (!bytes.starts_with(snapshot_magic)) {
+        result.error = "bad snapshot magic";
+        return result;
     }
-    std::uint32_t want = 0;
-    {
-        const auto [p, ec] =
-            std::from_chars(crc_field.data(), crc_field.data() + crc_field.size(), want, 16);
-        if (ec != std::errc{} || p != crc_field.data() + crc_field.size()) {
-            result.error = "bad crc trailer";
-            return result;
-        }
+    if (bytes.size() < header_bytes + 4) {
+        result.error = "truncated snapshot";
+        return result;
     }
-    const std::string_view body = text.substr(0, crc_at);
-    if (crc32c(body) != want) {
+    if (const std::uint32_t version = load_u32(bytes.data() + snapshot_magic.size());
+        version != snapshot_version) {
+        result.error = "unsupported snapshot version " + std::to_string(version);
+        return result;
+    }
+    // Any flipped bit invalidates the file before structural parsing.
+    const std::string_view checked = bytes.substr(0, bytes.size() - 4);
+    if (crc32c(checked) != load_u32(bytes.data() + checked.size())) {
         result.error = "snapshot checksum mismatch";
         return result;
     }
 
-    cursor c;
-    c.text = body;
-    std::vector<std::string_view> f;
-    if (!c.next(f) || f.size() != 1 || f[0] != snapshot_header) {
-        result.error = c.err.empty() ? "bad snapshot header" : c.err;
-        return result;
-    }
-
+    reader in(checked);
+    (void)in.u64();  // the magic and version, checked above
+    (void)in.u32();
+    path_reader paths;
+    decoder io{in, paths};
     snapshot_data data;
-    auto finish_error = [&]() {
-        result.error = c.err.empty() ? "snapshot parse error" : c.err;
+    meta_fields(io, data);
+    const std::uint64_t table_entries = in.u64();
+    if (paths.read(in) && table_entries > paths.entries().size()) {
+        in.fail("location table larger than the path dictionary");
+    }
+    if (in.ok()) {
+        data.locations.assign(paths.entries().begin(),
+                              paths.entries().begin() + static_cast<std::ptrdiff_t>(table_entries));
+    }
+    body_fields(io, data);
+    if (in.ok() && in.remaining() != 0) in.fail("trailing bytes after the log section");
+    if (!in.ok()) {
+        result.error = in.error();
         return result;
-    };
-
-    if (!c.expect("meta", 5, f)) return finish_error();
-    if (!c.u64(f[1], data.seq) || !c.u64(f[2], data.journal_bytes) ||
-        !c.u64(f[3], data.journal_records) || !c.i64(f[4], data.barrier_time)) {
-        return finish_error();
     }
-    {
-        std::uint64_t next_shard = 0;
-        if (!c.u64(f[5], next_shard)) return finish_error();
-        data.engines.next_region_shard = static_cast<std::size_t>(next_shard);
-    }
-
-    std::uint64_t n = 0;
-    if (!get_count(c, "locations", n)) return finish_error();
-    data.locations.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (!c.expect("L", 1, f)) return finish_error();
-        data.locations.emplace_back(f[1]);
-    }
-
-    if (!get_count(c, "regions", n)) return finish_error();
-    data.engines.regions.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (!c.expect("R", 2, f)) return finish_error();
-        location_id region = invalid_location_id;
-        std::uint64_t shard = 0;
-        if (!c.u32(f[1], region) || !c.u64(f[2], shard)) return finish_error();
-        data.engines.regions.emplace_back(region, static_cast<std::size_t>(shard));
-    }
-
-    if (!get_count(c, "engines", n)) return finish_error();
-    data.engines.shards.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t index = 0;
-        if (!c.expect("engine", 1, f)) return finish_error();
-        if (!c.u64(f[1], index)) return finish_error();
-        if (index != i) {
-            c.fail("engine index out of order");
-            return finish_error();
-        }
-        if (!get_engine(c, data.engines.shards[i])) return finish_error();
-    }
-
-    {
-        overload::controller::persist_state& ov = data.overload;
-        std::uint64_t n_keys = 0;
-        std::uint64_t n_breakers = 0;
-        if (!c.expect("overload", 4, f)) return finish_error();
-        if (!c.u64(f[1], ov.window_alerts) || !c.u64(f[2], ov.window_bytes) ||
-            !c.u64(f[3], n_keys) || !c.u64(f[4], n_breakers)) {
-            return finish_error();
-        }
-        if (n_breakers != ov.breakers.size()) {
-            c.fail("breaker count: got " + std::to_string(n_breakers) + ", want " +
-                   std::to_string(ov.breakers.size()));
-            return finish_error();
-        }
-        ov.dedup_keys.reserve(n_keys);
-        for (std::uint64_t i = 0; i < n_keys; ++i) {
-            if (!c.expect("D", 1, f)) return finish_error();
-            ov.dedup_keys.emplace_back(f[1]);
-        }
-        for (overload::breaker_status& b : ov.breakers) {
-            std::uint64_t state = 0;
-            std::uint64_t probes = 0;
-            if (!c.expect("B", 9, f)) return finish_error();
-            if (!c.u64(f[1], state) || !c.u64(f[2], b.window_good) || !c.u64(f[3], b.window_bad) ||
-                !c.i64(f[4], b.window_start) || !c.i64(f[5], b.reopen_at) ||
-                !c.i64(f[6], b.backoff) || !c.u64(f[7], probes) || !c.u64(f[8], b.trips) ||
-                !c.u64(f[9], b.quarantined)) {
-                return finish_error();
-            }
-            if (state > 2) {
-                c.fail("bad breaker state " + std::to_string(state));
-                return finish_error();
-            }
-            b.state = static_cast<overload::breaker_state>(state);
-            b.probes_left = static_cast<std::uint32_t>(probes);
-        }
-        overload_metrics& oc = ov.counters;
-        if (!c.expect("ocounters", 11, f)) return finish_error();
-        if (!c.u64(f[1], oc.admitted) || !c.u64(f[2], oc.shed_duplicate) ||
-            !c.u64(f[3], oc.shed_other) || !c.u64(f[4], oc.shed_root_cause) ||
-            !c.u64(f[5], oc.shed_failure) || !c.u64(f[6], oc.shed_bytes) ||
-            !c.u64(f[7], oc.breaker_trips) || !c.u64(f[8], oc.breaker_reopens) ||
-            !c.u64(f[9], oc.breaker_closes) || !c.u64(f[10], oc.quarantined) ||
-            !c.u64(f[11], oc.probes_admitted)) {
-            return finish_error();
-        }
-    }
-
-    {
-        lifecycle::manager::persist_state& lc = data.lifecycle;
-        std::uint64_t n_lineages = 0;
-        std::uint64_t n_collected = 0;
-        if (!c.expect("lifecycle", 3, f)) return finish_error();
-        if (!c.i64(f[1], lc.last_barrier) || !c.u64(f[2], n_lineages) ||
-            !c.u64(f[3], n_collected)) {
-            return finish_error();
-        }
-        lifecycle_metrics& lm = lc.counters;
-        if (!c.expect("lcounters", 7, f)) return finish_error();
-        if (!c.u64(f[1], lm.tracked) || !c.u64(f[2], lm.recurrences_linked) ||
-            !c.u64(f[3], lm.flaps_collapsed) || !c.u64(f[4], lm.realerts_suppressed) ||
-            !c.u64(f[5], lm.auto_closed) || !c.u64(f[6], lm.reopened) ||
-            !c.u64(f[7], lm.diffs_emitted)) {
-            return finish_error();
-        }
-        lc.lineages.resize(n_lineages);
-        for (lifecycle::lineage& ln : lc.lineages) {
-            std::uint64_t state = 0;
-            std::uint64_t n_types = 0;
-            std::uint64_t n_members = 0;
-            bool open_flag = false;
-            if (!c.expect("LIN", 13, f)) return finish_error();
-            if (!c.u64(f[1], ln.id) || !c.u64(f[3], state) ||
-                !c.u64(f[5], ln.suppressed_realerts) || !c.i64(f[6], ln.first_seen) ||
-                !c.i64(f[7], ln.last_activity) || !c.i64(f[8], ln.last_closed) ||
-                !c.dbl(f[9], ln.last_score) || !c.dbl(f[10], ln.peak_score) ||
-                !c.flag(f[11], open_flag) || !c.u64(f[12], n_types) ||
-                !c.u64(f[13], n_members)) {
-                return finish_error();
-            }
-            ln.root = std::string(f[2]);
-            std::uint64_t occurrences = 0;
-            if (!c.u64(f[4], occurrences)) return finish_error();
-            ln.occurrences = static_cast<std::uint32_t>(occurrences);
-            if (state > 4) {
-                c.fail("bad lineage state " + std::to_string(state));
-                return finish_error();
-            }
-            ln.state = static_cast<lifecycle::phase>(state);
-            ln.engine_open = open_flag;
-            ln.types.resize(n_types);
-            for (std::uint32_t& t : ln.types) {
-                if (!c.expect("LT", 1, f)) return finish_error();
-                if (!c.u32(f[1], t)) return finish_error();
-            }
-            ln.members.resize(n_members);
-            for (std::uint64_t& m : ln.members) {
-                if (!c.expect("LM", 1, f)) return finish_error();
-                if (!c.u64(f[1], m)) return finish_error();
-            }
-        }
-        lc.collected.resize(n_collected);
-        for (incident_report& r : lc.collected) {
-            if (!get_report(c, r)) return finish_error();
-        }
-        lifecycle::barrier_diff& ld = lc.last_diff;
-        std::uint64_t n_opened = 0, n_esc = 0, n_deesc = 0, n_res = 0, n_flap = 0;
-        if (!c.expect("ldiff", 6, f)) return finish_error();
-        if (!c.i64(f[1], ld.at) || !c.u64(f[2], n_opened) || !c.u64(f[3], n_esc) ||
-            !c.u64(f[4], n_deesc) || !c.u64(f[5], n_res) || !c.u64(f[6], n_flap)) {
-            return finish_error();
-        }
-        auto get_entries = [&](std::vector<lifecycle::diff_entry>& entries, std::uint64_t count) {
-            entries.resize(count);
-            for (lifecycle::diff_entry& e : entries) {
-                std::uint64_t occurrences = 0;
-                if (!c.expect("LD", 5, f)) return false;
-                if (!c.u64(f[1], e.lineage) || !c.dbl(f[3], e.score) ||
-                    !c.dbl(f[4], e.prev_score) || !c.u64(f[5], occurrences)) {
-                    return false;
-                }
-                e.root = std::string(f[2]);
-                e.occurrences = static_cast<std::uint32_t>(occurrences);
-            }
-            return true;
-        };
-        if (!get_entries(ld.opened, n_opened) || !get_entries(ld.escalated, n_esc) ||
-            !get_entries(ld.deescalated, n_deesc) || !get_entries(ld.resolved, n_res) ||
-            !get_entries(ld.flapping, n_flap)) {
-            return finish_error();
-        }
-    }
-
-    if (!get_count(c, "log", n)) return finish_error();
-    data.log.resize(n);
-    for (auto& e : data.log) {
-        if (!c.expect("E", 2, f)) return finish_error();
-        if (!c.i64(f[1], e.closed_at)) return finish_error();
-        if (f[2] == "-") {
-            e.attributed_to_failure = std::nullopt;
-        } else {
-            bool labeled = false;
-            if (!c.flag(f[2], labeled)) return finish_error();
-            e.attributed_to_failure = labeled;
-        }
-        if (!get_report(c, e.report)) return finish_error();
-    }
-
     result.data = std::move(data);
     return result;
 }
@@ -682,11 +257,11 @@ error write_snapshot(const std::string& dir, const snapshot_data& data) {
 
     const fs::path final_path = fs::path(dir) / snapshot_filename(data.seq);
     const fs::path tmp_path = final_path.string() + ".tmp";
-    const std::string text = render_snapshot(data);
+    const std::string bytes = render_snapshot(data);
     {
         std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
         if (!out) return error("snapshot: cannot open " + tmp_path.string());
-        out.write(text.data(), static_cast<std::streamsize>(text.size()));
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         out.flush();
         if (!out) return error("snapshot: short write to " + tmp_path.string());
     }
@@ -707,20 +282,20 @@ snapshot_pick load_newest_snapshot(const std::string& dir, std::uint64_t journal
         std::uint64_t seq = 0;
         const std::string_view digits =
             std::string_view(name).substr(5, name.size() - 5 - std::string_view(".skysnap").size());
-        if (!parse_u64(digits, seq)) continue;
+        const auto [end, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), seq);
+        if (ec != std::errc{} || end != digits.data() + digits.size()) continue;
         candidates.emplace_back(seq, entry.path());
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
 
     for (const auto& [seq, path] : candidates) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
+        const std::optional<std::string> bytes = read_file(path.string());
+        if (!bytes) {
             pick.skipped.push_back({path.filename().string(), "unreadable"});
             continue;
         }
-        std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-        snapshot_parse_result parsed = parse_snapshot(text);
+        snapshot_parse_result parsed = parse_snapshot(*bytes);
         if (!parsed.ok()) {
             pick.skipped.push_back({path.filename().string(), parsed.error});
             continue;

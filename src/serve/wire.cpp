@@ -6,23 +6,14 @@
 #include <algorithm>
 
 #include "skynet/persist/crc32c.h"
+#include "skynet/persist/report_codec.h"
 
 namespace skynet::serve {
 
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-    out.push_back(static_cast<char>(v & 0xff));
-    out.push_back(static_cast<char>((v >> 8) & 0xff));
-    out.push_back(static_cast<char>((v >> 16) & 0xff));
-    out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t get_u32(const char* p) {
-    const auto* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(u[0]) | (static_cast<std::uint32_t>(u[1]) << 8) |
-           (static_cast<std::uint32_t>(u[2]) << 16) | (static_cast<std::uint32_t>(u[3]) << 24);
-}
+using persist::codec::load_u32;
+using persist::codec::put_u32;
 
 /// Shared tail of the two stream_* helpers: dial, send the assembled
 /// stream, half-close, read the status line.
@@ -94,8 +85,8 @@ std::optional<persist::journal_record> wire_decoder::next() {
     if (buf_.size() - pos_ < persist::record_header_bytes) return std::nullopt;
     const char* header = buf_.data() + pos_;
     const auto type = static_cast<persist::record_type>(static_cast<unsigned char>(header[0]));
-    const std::uint32_t len = get_u32(header + 1);
-    const std::uint32_t crc = get_u32(header + 5);
+    const std::uint32_t len = load_u32(header + 1);
+    const std::uint32_t crc = load_u32(header + 5);
     if (type != persist::record_type::batch && type != persist::record_type::tick &&
         type != persist::record_type::finish) {
         fail("unknown record type " + std::to_string(static_cast<unsigned char>(header[0])));

@@ -118,11 +118,35 @@ TEST(DigestCodecTest, RejectsTrailingBytesAndEmptyRegion) {
     EXPECT_NE(err.find("trailing"), std::string::npos);
 
     // An empty region would make every aggregator key collide.
-    std::string anon = encode_digest_payload(make_digest("x", 1, 0, false));
-    const std::size_t at = anon.find("\tx\n");
-    ASSERT_NE(at, std::string::npos);
-    anon.replace(at, 3, "\t\n");
+    const std::string anon = encode_digest_payload(make_digest("", 1, 0, false));
     EXPECT_FALSE(decode_digest_payload(anon, out, err));
+    EXPECT_NE(err.find("empty region"), std::string::npos) << err;
+}
+
+/// A reportless digest whose report count (its last 8 bytes) reads
+/// 2^64-1, framed with a valid CRC.
+std::string hostile_digest_payload(const std::string& region) {
+    std::string payload = encode_digest_payload(make_digest(region, 1, 0, false));
+    payload.replace(payload.size() - 8, 8, 8, '\xff');
+    return payload;
+}
+
+TEST(DigestCodecTest, HostileCountsAreRejectedWithoutThrowing) {
+    const std::string reports = hostile_digest_payload("r");
+    std::string paths = encode_digest_payload(make_digest("r", 1, 0, false));
+    paths.replace(paths.size() - 16, 8, 8, '\xff');  // the path dictionary's count
+    for (const std::string& payload : {reports, paths}) {
+        fed_decoder dec;
+        dec.feed(std::string{fed_magic} + frame_fed_record(fed_record::digest, payload));
+        const std::optional<fed_frame> frame = dec.next();
+        ASSERT_TRUE(frame.has_value()) << dec.corruption_reason();
+        region_digest out;
+        std::string err;
+        bool decoded = true;
+        EXPECT_NO_THROW(decoded = decode_digest_payload(frame->payload, out, err));
+        EXPECT_FALSE(decoded);
+        EXPECT_NE(err.find("count"), std::string::npos) << err;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -162,6 +186,12 @@ TEST(FedDecoderTest, LatchesOnBadMagicAndCorruptPayload) {
     EXPECT_FALSE(bad_magic.next().has_value());
     EXPECT_TRUE(bad_magic.corrupt());
     EXPECT_NE(bad_magic.corruption_reason().find("magic"), std::string::npos);
+
+    fed_decoder old_peer;  // a peer of the text-payload protocol version
+    old_peer.feed("SKYNETF1");
+    EXPECT_FALSE(old_peer.next().has_value());
+    EXPECT_TRUE(old_peer.corrupt());
+    EXPECT_NE(old_peer.corruption_reason().find("version"), std::string::npos);
 
     std::string stream{fed_magic};
     std::string frame = frame_fed_record(fed_record::digest,
@@ -212,11 +242,16 @@ TEST(DigestJournalTest, MissingMagicDropsTheFile) {
     const std::string dir = unique_dir("magicless");
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/" + std::string(digest_journal_filename);
-    std::ofstream(path, std::ios::binary) << "not a digest journal";
-    const digest_journal_read loaded = read_digest_journal(path);
-    EXPECT_TRUE(loaded.digests.empty());
-    EXPECT_EQ(loaded.valid_bytes, 0u);
-    EXPECT_GT(loaded.truncated_tail_bytes, 0u);
+    // No magic at all, and the magic of the text-payload format version.
+    for (const char* head : {"not a digest journal", "SKYNETF1\x02\x05\0\0\0"}) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << head;
+        const digest_journal_read loaded = read_digest_journal(path);
+        EXPECT_TRUE(loaded.digests.empty());
+        EXPECT_EQ(loaded.valid_bytes, 0u);
+        EXPECT_GT(loaded.truncated_tail_bytes, 0u);
+        EXPECT_FALSE(loaded.truncation_reason.empty());
+    }
+    EXPECT_NE(read_digest_journal(path).truncation_reason.find("version"), std::string::npos);
     std::filesystem::remove_all(dir);
 }
 
@@ -337,10 +372,12 @@ struct session_result {
 };
 
 /// One hand-rolled emitter session: hello, read HAVE, send the given
-/// digest frames verbatim, EOF, read the ack. Lets tests send overlaps
-/// and garbage the real emitter would never produce.
+/// digests and then `raw_payloads` as digest frames, EOF, read the ack.
+/// Lets tests send overlaps and garbage the real emitter would never
+/// produce.
 session_result raw_session(const std::string& addr_text, const std::string& region,
-                           const std::vector<region_digest>& digests) {
+                           const std::vector<region_digest>& digests,
+                           const std::vector<std::string>& raw_payloads = {}) {
     session_result result;
     const auto addr = serve::parse_addr(addr_text);
     if (!addr) return result;
@@ -357,6 +394,9 @@ session_result raw_session(const std::string& addr_text, const std::string& regi
     std::string body;
     for (const region_digest& d : digests) {
         body += frame_fed_record(fed_record::digest, encode_digest_payload(d));
+    }
+    for (const std::string& payload : raw_payloads) {
+        body += frame_fed_record(fed_record::digest, payload);
     }
     if (!body.empty() && !serve::write_all(fd, body)) {
         ::close(fd);
@@ -432,7 +472,14 @@ TEST(AggregatorTest, RejectsProtocolViolations) {
     EXPECT_EQ(mismatch.final_line.substr(0, 3), "ERR");
     EXPECT_EQ(agg.last_seq("beta"), 0u);
 
-    // The rejected session must not wedge the listener.
+    // A digest whose report count would not fit in its bytes.
+    const session_result hostile =
+        raw_session(agg.fed_addr(), "alpha", {}, {hostile_digest_payload("alpha")});
+    ASSERT_TRUE(hostile.ok);
+    EXPECT_EQ(hostile.final_line.substr(0, 14), "ERR bad digest") << hostile.final_line;
+    EXPECT_EQ(agg.handle(serve::parse_target("GET", "/v1/health")).status, 200);
+
+    // The rejected sessions must not wedge the listener.
     const session_result clean =
         raw_session(agg.fed_addr(), "alpha", {make_digest("alpha", 1, 0, false)});
     ASSERT_TRUE(clean.ok);

@@ -6,6 +6,7 @@
 // an uninterrupted run — for the sequential and the sharded engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "skynet/persist/journal.h"
 #include "skynet/persist/recovery.h"
 #include "skynet/persist/snapshot.h"
+#include "skynet/serve/wire.h"
 #include "skynet/sim/engine.h"
 #include "skynet/sim/trace.h"
 #include "skynet/topology/generator.h"
@@ -314,12 +316,17 @@ TEST(SnapshotTest, RenderParseRoundTripIsCanonical) {
     data.journal_records = 56;
     data.barrier_time = minutes(3);
     const location_table& table = w.topo.locations();
-    for (std::size_t id = 1; id < table.size(); ++id) {
-        data.locations.push_back(table.path_of(static_cast<location_id>(id)).to_string());
+    for (std::size_t i = 1; i < table.size(); ++i) {
+        const auto id = static_cast<location_id>(i);
+        data.locations.push_back({table.parent_of(id), std::string(table.segment_of(id))});
     }
     data.engines.shards.push_back(eng.export_state());
+    ASSERT_FALSE(data.engines.shards[0].loc.nodes.empty()) << "episode left no live alerts";
+    // A path the table never interned travels in the dictionary's tail.
+    incident_report outside;
+    outside.zoomed = location{"Nowhere", "Cluster 9"};
     data.log.push_back(incident_log::entry{
-        .report = incident_report{}, .closed_at = minutes(2), .attributed_to_failure = true});
+        .report = outside, .closed_at = minutes(2), .attributed_to_failure = true});
 
     const std::string text = persist::render_snapshot(data);
     const persist::snapshot_parse_result parsed = persist::parse_snapshot(text);
@@ -332,6 +339,7 @@ TEST(SnapshotTest, RenderParseRoundTripIsCanonical) {
     ASSERT_EQ(parsed.data->log.size(), 1u);
     EXPECT_EQ(parsed.data->log[0].closed_at, minutes(2));
     EXPECT_EQ(parsed.data->log[0].attributed_to_failure, true);
+    EXPECT_EQ(parsed.data->log[0].report.zoomed, outside.zoomed);
     // Canonical: re-rendering the parse is byte-identical.
     EXPECT_EQ(persist::render_snapshot(*parsed.data), text);
 }
@@ -388,6 +396,78 @@ TEST(SnapshotTest, SnapshotPastDurablePrefixIsSkipped) {
     ASSERT_EQ(pick.skipped.size(), 1u);
     EXPECT_NE(pick.skipped[0].reason.find("durable"), std::string::npos)
         << pick.skipped[0].reason;
+}
+
+/// Recomputes a snapshot's CRC-32C trailer after a deliberate edit.
+void reseal(std::string& bytes) {
+    const std::uint32_t crc = persist::crc32c(std::string_view(bytes).substr(0, bytes.size() - 4));
+    for (int i = 0; i < 4; ++i) bytes[bytes.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
+}
+
+/// Overwrites the u64 at `at` with 2^64-1.
+void poison_count(std::string& bytes, std::size_t at) {
+    ASSERT_LE(at + 8, bytes.size());
+    for (std::size_t i = 0; i < 8; ++i) bytes[at + i] = '\xff';
+}
+
+/// Offset just past the first little-endian encoding of `marker`.
+std::size_t after_marker(const std::string& bytes, std::int64_t marker) {
+    std::string pattern;
+    for (int i = 0; i < 8; ++i) {
+        pattern.push_back(static_cast<char>(static_cast<std::uint64_t>(marker) >> (8 * i)));
+    }
+    const std::size_t at = bytes.find(pattern);
+    return at == std::string::npos ? bytes.size() : at + 8;
+}
+
+constexpr std::int64_t kMarker = 0x0123456789abcdefLL;
+
+TEST(SnapshotTest, HostileNodeAlertCountIsRejected) {
+    persist::snapshot_data data;
+    data.engines.shards.emplace_back();
+    data.engines.shards[0].loc.nodes.push_back({.loc = 0, .last_update = kMarker, .alerts = {}});
+    std::string bytes = persist::render_snapshot(data);
+    ASSERT_TRUE(persist::parse_snapshot(bytes).ok());
+
+    // The node's alert count follows its last_update.
+    poison_count(bytes, after_marker(bytes, kMarker));
+    reseal(bytes);
+    persist::snapshot_parse_result parsed;
+    EXPECT_NO_THROW(parsed = persist::parse_snapshot(bytes));
+    EXPECT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.error.find("count"), std::string::npos) << parsed.error;
+}
+
+TEST(SnapshotTest, HostileReportAlertCountIsRejected) {
+    incident_report report;
+    report.inc.root = location{"Region A"};
+    report.inc.when.end = kMarker;
+    persist::codec::path_writer paths;
+    std::string body;
+    persist::codec::encoder out{body, paths};
+    persist::codec::report_fields(out, report);
+    std::string bytes;
+    paths.put(bytes);
+    bytes += body;
+
+    auto decode = [](std::string_view payload, std::string& err) {
+        persist::codec::reader in(payload);
+        persist::codec::path_reader dict;
+        dict.read(in);
+        persist::codec::decoder io{in, dict};
+        incident_report decoded;
+        persist::codec::report_fields(io, decoded);
+        err = in.error();
+        return in.ok() && in.remaining() == 0 && decoded.inc.root == location{"Region A"};
+    };
+    std::string err;
+    ASSERT_TRUE(decode(bytes, err)) << err;
+    // The incident's alert count follows when.end and the closed flag.
+    poison_count(bytes, after_marker(bytes, kMarker) + 1);
+    bool decoded = true;
+    EXPECT_NO_THROW(decoded = decode(bytes, err));
+    EXPECT_FALSE(decoded);
+    EXPECT_NE(err.find("count"), std::string::npos) << err;
 }
 
 // -------------------------------------------------------------- recovery
@@ -553,6 +633,187 @@ TEST(RecoveryTest, NoSnapshotReplaysTheWholeJournal) {
     EXPECT_EQ(rec.metrics.records_replayed, commands.size());
     EXPECT_EQ(rec.journal_records, commands.size());
     EXPECT_EQ(report_digest(eng), want);
+}
+
+/// Journal offsets of every snapshot in `dir`, ordered by sequence.
+std::vector<std::uint64_t> snapshot_offsets(const fs::path& dir) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> found;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() != ".skysnap") continue;
+        const persist::snapshot_parse_result parsed =
+            persist::parse_snapshot(read_file(entry.path()));
+        if (parsed.ok()) found.emplace_back(parsed.data->seq, parsed.data->journal_bytes);
+    }
+    std::sort(found.begin(), found.end());
+    std::vector<std::uint64_t> offsets;
+    for (const auto& [seq, offset] : found) offsets.push_back(offset);
+    return offsets;
+}
+
+bool has_note(const persist::recovery_result& rec, std::string_view text) {
+    return std::any_of(rec.notes.begin(), rec.notes.end(),
+                       [&](const std::string& n) { return n.find(text) != std::string::npos; });
+}
+
+/// Re-streams the episode into a session resumed from `rec`, as a
+/// restarted process would, and returns its report digest.
+std::string resume_run(skynet_engine& eng, world& w, std::span<const command> commands,
+                       const network_state& idle, const fs::path& dir,
+                       const persist::recovery_result& rec) {
+    persist::durable_options dopts;
+    dopts.dir = dir.string();
+    dopts.checkpoint_every = 3;
+    dopts.flush_every = 1;
+    dopts.resume_records = rec.journal_records;
+    dopts.next_snapshot_seq = rec.next_snapshot_seq;
+    dopts.locations = &w.topo.locations();
+    persist::durable_session<skynet_engine> session(eng, dopts);
+    apply(session, commands, idle);
+    return report_digest(eng);
+}
+
+TEST(RecoveryTest, UndecodableSuffixRecordEndsThePrefix) {
+    world w;
+    const std::vector<command> commands = record_episode(w, minutes(1), 37);
+    network_state idle(&w.topo, &w.customers);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+
+    const fs::path dir = fresh_dir("undecodable_suffix");
+    std::string want;
+    {
+        skynet_engine eng(w.deps(), cfg);
+        want = durable_run(eng, w, commands, idle, dir);
+    }
+    // A batch claiming five alerts but holding none: its CRC matches, so
+    // only decoding can reject it, and it sits past every snapshot.
+    const fs::path journal = dir / persist::journal_filename;
+    const std::uint64_t clean_size = fs::file_size(journal);
+    const std::string bad = serve::frame_record(record_type::batch, std::string("\x05\0\0\0", 4));
+    std::ofstream(journal, std::ios::binary | std::ios::app) << bad;
+
+    skynet_engine eng(w.deps(), cfg);
+    persist::recovery_options ropts;
+    ropts.dir = dir.string();
+    ropts.tick_state = &idle;
+    const persist::recovery_result rec =
+        persist::recover(eng, w.topo.locations(), nullptr, ropts);
+    ASSERT_TRUE(has_note(rec, "restored snap-"));
+    ASSERT_GT(rec.metrics.records_replayed, 0u);
+    EXPECT_TRUE(has_note(rec, "unparseable batch payload"));
+    EXPECT_EQ(rec.metrics.truncated_tail_bytes, bad.size());
+    EXPECT_EQ(rec.journal_valid_bytes, clean_size);
+    EXPECT_EQ(fs::file_size(journal), clean_size);  // trimmed on disk
+    EXPECT_TRUE(rec.saw_finish);
+    EXPECT_EQ(report_digest(eng), want);
+}
+
+TEST(RecoveryTest, RecordsBeforeTheSnapshotAreNeverDecoded) {
+    world w;
+    const std::vector<command> commands = record_episode(w, minutes(1), 41);
+    network_state idle(&w.topo, &w.customers);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+
+    const fs::path dir = fresh_dir("prefix_not_decoded");
+    std::string want;
+    {
+        skynet_engine eng(w.deps(), cfg);
+        want = durable_run(eng, w, commands, idle, dir);
+    }
+    // Reseal the first record as an undecodable batch of the same size.
+    const fs::path journal = dir / persist::journal_filename;
+    std::string bytes = read_file(journal);
+    const std::size_t first = persist::journal_magic.size();
+    const std::uint64_t first_end = record_boundaries(journal).front();
+    ASSERT_GT(snapshot_offsets(dir).back(), first_end);
+    std::string payload = bytes.substr(first + persist::record_header_bytes,
+                                       first_end - first - persist::record_header_bytes);
+    payload.assign(payload.size(), '\xff');
+    bytes.replace(first, first_end - first, serve::frame_record(record_type::batch, payload));
+    write_file(journal, bytes);
+
+    skynet_engine eng(w.deps(), cfg);
+    persist::recovery_options ropts;
+    ropts.dir = dir.string();
+    ropts.tick_state = &idle;
+    const persist::recovery_result rec =
+        persist::recover(eng, w.topo.locations(), nullptr, ropts);
+    ASSERT_TRUE(has_note(rec, "restored snap-"));
+    ASSERT_GT(rec.metrics.records_replayed, 0u);
+    EXPECT_EQ(rec.metrics.truncated_tail_bytes, 0u);
+    EXPECT_EQ(rec.journal_valid_bytes, bytes.size());
+    EXPECT_EQ(report_digest(eng), want);
+}
+
+TEST(RecoveryTest, BrokenCrcBeforeTheNewestSnapshotFallsBackToTheOlder) {
+    world w;
+    const std::vector<command> commands = record_episode(w, minutes(1), 43);
+    network_state idle(&w.topo, &w.customers);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+
+    const fs::path dir = fresh_dir("crc_before_newest");
+    std::string want;
+    {
+        skynet_engine eng(w.deps(), cfg);
+        want = durable_run(eng, w, commands, idle, dir);
+    }
+    const std::vector<std::uint64_t> snaps = snapshot_offsets(dir);
+    ASSERT_GE(snaps.size(), 2u);
+    const std::uint64_t older = snaps[snaps.size() - 2];
+    ASSERT_LT(older, snaps.back());
+    // Flip a payload byte of the first record after the older snapshot.
+    const fs::path journal = dir / persist::journal_filename;
+    std::string bytes = read_file(journal);
+    bytes[static_cast<std::size_t>(older) + persist::record_header_bytes] ^= 0x40;
+    write_file(journal, bytes);
+
+    skynet_engine eng(w.deps(), cfg);
+    persist::recovery_options ropts;
+    ropts.dir = dir.string();
+    ropts.tick_state = &idle;
+    const persist::recovery_result rec =
+        persist::recover(eng, w.topo.locations(), nullptr, ropts);
+    ASSERT_EQ(rec.metrics.snapshots_skipped, 1u);
+    EXPECT_TRUE(has_note(rec, "past the durable prefix"));
+    EXPECT_TRUE(has_note(rec, "journal offset " + std::to_string(older) + ")"));
+    EXPECT_TRUE(has_note(rec, "checksum"));
+    EXPECT_EQ(rec.journal_valid_bytes, older);
+    EXPECT_EQ(fs::file_size(journal), older);
+    EXPECT_EQ(resume_run(eng, w, commands, idle, dir, rec), want);
+}
+
+TEST(RecoveryTest, TextSnapshotIsSkippedAndTheJournalReplayed) {
+    world w;
+    const std::vector<command> commands = record_episode(w, minutes(1), 47);
+    network_state idle(&w.topo, &w.customers);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+
+    const fs::path dir = fresh_dir("text_snapshot");
+    std::string want;
+    {
+        skynet_engine eng(w.deps(), cfg);
+        want = durable_run(eng, w, commands, idle, dir);
+    }
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() == ".skysnap") fs::remove(entry.path());
+    }
+    write_file(dir / persist::snapshot_filename(1),
+               "# skynet snapshot v1\nmeta\t1\t8\t0\t0\t0\nlocations\t0\ncrc\t00000000\n");
+
+    skynet_engine eng(w.deps(), cfg);
+    persist::recovery_options ropts;
+    ropts.dir = dir.string();
+    ropts.tick_state = &idle;
+    const persist::recovery_result rec =
+        persist::recover(eng, w.topo.locations(), nullptr, ropts);
+    ASSERT_EQ(rec.metrics.snapshots_skipped, 1u);
+    EXPECT_TRUE(has_note(rec, "version"));
+    EXPECT_EQ(rec.metrics.records_replayed, commands.size());
+    EXPECT_EQ(report_digest(eng), want);
+    EXPECT_FALSE(want.empty());
 }
 
 TEST(RecoveryTest, ShardCountMismatchThrows) {
