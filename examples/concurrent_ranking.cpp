@@ -135,7 +135,7 @@ int main() {
         [&](std::span<const traced_alert> batch) { skynet.ingest_batch(batch); },
         [&](sim_time now) {
             skynet.tick(now, sim.state());
-            if (now == minutes(5)) ranked = skynet.reports(report_scope::open, now, sim.state());
+            if (now == minutes(5)) ranked = skynet.open_reports(now, sim.state());
         });
 
     std::printf("live incident ranking at t+5min (most urgent first):\n");
@@ -171,9 +171,7 @@ int main() {
         [&](std::span<const traced_alert> batch) { sharded.ingest_batch(batch); },
         [&](sim_time now) {
             sharded.tick(now, sim2.state());
-            if (now == minutes(5)) {
-                sharded_ranked = sharded.reports(report_scope::open, now, sim2.state());
-            }
+            if (now == minutes(5)) sharded_ranked = sharded.open_reports(now, sim2.state());
         });
 
     bool same = sharded_ranked.size() == ranked.size();

@@ -688,7 +688,6 @@ int main(int argc, char** argv) {
     if (opt.shards > 0) {
         sharded_config scfg = opt.sharded();
         if (faults) {
-            scfg.force_full = faults->queue_pressure_hook();
             scfg.worker_stall = faults->worker_stall_hook();
             // Injected stalls without a watchdog would wedge the run;
             // arm a default deadline so the drill recovers on its own.
@@ -697,8 +696,7 @@ int main(int argc, char** argv) {
             }
         }
         sharded_engine engine(deps, scfg);
-        std::printf("engine: region-sharded, %zu shards, overflow=%s%s\n", engine.shard_count(),
-                    std::string(to_string(scfg.overflow)).c_str(),
+        std::printf("engine: region-sharded, %zu shards%s\n", engine.shard_count(),
                     scfg.watchdog_deadline_ms > 0 ? ", watchdog on" : "");
         return run_session(engine, opt, topo, customers, faults.get(), &guard);
     }

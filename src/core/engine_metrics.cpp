@@ -86,11 +86,9 @@ std::string engine_metrics::render() const {
     }
     if (degraded.any()) {
         std::snprintf(buf, sizeof buf,
-                      "  degraded: %llu rejected, %llu dropped (overflow), %llu skew-clamped, "
-                      "%llu sources in dropout, %llu dropped (failed shard), "
-                      "%llu log out-of-order, %llu sketched\n",
+                      "  degraded: %llu rejected, %llu skew-clamped, %llu sources in dropout, "
+                      "%llu dropped (failed shard), %llu log out-of-order, %llu sketched\n",
                       static_cast<unsigned long long>(degraded.alerts_rejected),
-                      static_cast<unsigned long long>(degraded.alerts_dropped_overflow),
                       static_cast<unsigned long long>(degraded.skew_clamped),
                       static_cast<unsigned long long>(degraded.sources_in_dropout),
                       static_cast<unsigned long long>(degraded.alerts_dropped_failed_shard),
@@ -237,7 +235,6 @@ std::string engine_metrics::to_json() const {
     u("busy_ns", busy_ns, true);
     out += "},\"degraded\":{";
     u("alerts_rejected", degraded.alerts_rejected);
-    u("alerts_dropped_overflow", degraded.alerts_dropped_overflow);
     u("skew_clamped", degraded.skew_clamped);
     u("sources_in_dropout", degraded.sources_in_dropout);
     u("alerts_dropped_failed_shard", degraded.alerts_dropped_failed_shard);

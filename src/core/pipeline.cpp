@@ -51,13 +51,6 @@ skynet_engine::skynet_engine(deps d, skynet_config config)
     if (error e = config.validate()) throw skynet_error("skynet_engine: " + e.message());
 }
 
-skynet_engine::skynet_engine(const topology* topo, const customer_registry* customers,
-                             const alert_type_registry* registry, const syslog_classifier* syslog,
-                             skynet_config config)
-    : skynet_engine(
-          deps{.topo = topo, .customers = customers, .registry = registry, .syslog = syslog},
-          std::move(config)) {}
-
 skynet_engine::persist_state skynet_engine::export_state() const {
     persist_state state;
     state.pre = pre_.export_state();
@@ -224,20 +217,12 @@ incident_report skynet_engine::finalize(const incident& inc, sim_time now,
     return report;
 }
 
-std::vector<incident_report> skynet_engine::ranked_finished() {
+std::vector<incident_report> skynet_engine::take_reports() {
     std::vector<incident_report> out = std::move(finished_);
     finished_.clear();
     std::sort(out.begin(), out.end(), report_before);
     return out;
 }
-
-std::vector<incident_report> skynet_engine::reports(report_scope scope, sim_time now,
-                                                    const network_state& state) {
-    if (scope == report_scope::finished) return ranked_finished();
-    return open_reports(now, state);
-}
-
-std::vector<incident_report> skynet_engine::take_reports() { return ranked_finished(); }
 
 std::vector<incident_report> skynet_engine::open_reports(sim_time now,
                                                          const network_state& state) const {

@@ -17,38 +17,16 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-std::string_view to_string(overflow_policy policy) noexcept {
-    switch (policy) {
-        case overflow_policy::block: return "block";
-        case overflow_policy::drop_oldest: return "drop_oldest";
-        case overflow_policy::reject: return "reject";
-    }
-    return "block";
-}
-
-std::optional<overflow_policy> parse_overflow_policy(std::string_view token) noexcept {
-    if (token == "block") return overflow_policy::block;
-    if (token == "drop_oldest" || token == "drop-oldest") return overflow_policy::drop_oldest;
-    if (token == "reject") return overflow_policy::reject;
-    return std::nullopt;
-}
-
 sharded_engine::sharded_engine(skynet_engine::deps d, sharded_config config)
     : config_(std::move(config)), topo_(d.topo) {
     if (config_.shards == 0) config_.shards = 1;
     if (config_.max_ingest_batch == 0) config_.max_ingest_batch = 1;
-    if (config_.backlog_batches == 0) config_.backlog_batches = 1;
     // Shard ids must agree with a sequential engine on the same trace.
     config_.engine.loc.deterministic_ids = true;
     steal_enabled_ = config_.steal && config_.shards > 1;
-    // The done queue must hold one token per in-flight ingest command,
-    // worst case queue + backlog (plus slack), so thieves never block on
-    // a full handoff ring.
-    const std::size_t done_capacity = config_.queue_capacity + config_.backlog_batches + 8;
     shards_.reserve(config_.shards);
     for (std::size_t i = 0; i < config_.shards; ++i) {
-        shards_.push_back(
-            std::make_unique<shard>(d, config_.engine, config_.queue_capacity, done_capacity, i));
+        shards_.push_back(std::make_unique<shard>(d, config_.engine, config_.queue_capacity, i));
     }
     for (auto& s : shards_) {
         s->worker = std::thread(&sharded_engine::worker_loop, this, std::ref(*s));
@@ -91,7 +69,6 @@ void sharded_engine::worker_loop(shard& s) {
         }
     }
     for (;;) {
-        drain_done(s);
         if (s.queue.try_pop(cmd)) {
             if (execute_command(s, cmd)) return;
             continue;
@@ -189,7 +166,13 @@ void sharded_engine::run_ingest(shard& s, ingest_job& job) {
         job.stage.store(2, std::memory_order_release);  // lets the board prune
         return;
     }
-    if (seen == 1) wait_for_prepared(s, job);
+    if (seen == 1) {
+        // A thief is preparing it: sleep until it stores 2 (or 3) and
+        // notifies. wait() rechecks the value, so a store that lands
+        // before the owner parks is never missed.
+        s.owner_waits.fetch_add(1, std::memory_order_relaxed);
+        job.stage.wait(1, std::memory_order_acquire);
+    }
     if (job.stage.load(std::memory_order_acquire) == 2) {
         s.engine.ingest_batch_prepared(batch, std::move(job.prep));
     } else {
@@ -197,24 +180,6 @@ void sharded_engine::run_ingest(shard& s, ingest_job& job) {
         // whole batch inline; a real fault will resurface here.
         s.engine.ingest_batch(batch);
     }
-}
-
-void sharded_engine::wait_for_prepared(shard& s, ingest_job& job) {
-    s.owner_waits.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<ingest_job> token;
-    while (job.stage.load(std::memory_order_acquire) < 2) {
-        // The thief stores stage (release) before pushing its token, so
-        // once we observe stage < 2 a token is still in flight and this
-        // pop cannot block forever. Tokens for other jobs are harmless:
-        // their stage is already ≥ 2 when the owner reaches them.
-        s.done.pop_blocking(token);
-        token.reset();
-    }
-}
-
-void sharded_engine::drain_done(shard& s) {
-    std::shared_ptr<ingest_job> token;
-    while (s.done.try_pop(token)) token.reset();
 }
 
 bool sharded_engine::try_steal(shard& self) {
@@ -238,10 +203,12 @@ bool sharded_engine::try_steal(shard& self) {
             // any real fault surfaces on the owning shard.
             job->stage.store(3, std::memory_order_release);
         }
+        // Wakes an owner parked in run_ingest; `job` keeps the atomic
+        // alive even if the owner has already seen the store and moved on.
+        job->stage.notify_one();
         self.prepare_ns.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
         self.stolen_batches.fetch_add(1, std::memory_order_relaxed);
         self.stolen_alerts.fetch_add(job->batch.size(), std::memory_order_relaxed);
-        victim.done.push(job);  // wakes an owner parked in wait_for_prepared
         return true;
     }
     self.steal_misses.fetch_add(1, std::memory_order_relaxed);
@@ -311,35 +278,17 @@ void sharded_engine::append(std::size_t idx, const raw_alert& raw, location_id i
     shard& s = *shards_[idx];
     s.pending.push_back(traced_alert{.alert = raw, .arrival = now});
     s.pending.back().alert.loc_id = interned;
-    if (s.pending.size() >= config_.max_ingest_batch) {
-        command cmd;
-        cmd.what = command::op::ingest;
-        cmd.job = std::make_shared<ingest_job>();
-        cmd.job->batch = std::move(s.pending);
-        cmd.job->seq = next_job_seq_++;
-        submit_ingest(s, std::move(cmd));
-        s.pending = {};
-    }
+    if (s.pending.size() >= config_.max_ingest_batch) submit_pending(s);
 }
 
-bool sharded_engine::forced_full() const {
-    return config_.force_full && config_.force_full();
-}
-
-void sharded_engine::note_enqueued(shard& s, std::size_t waits,
-                                   const std::shared_ptr<ingest_job>& job) {
-    s.full_waits += waits;
-    s.max_depth = std::max(s.max_depth, static_cast<std::uint64_t>(s.queue.size()));
-    ++s.submitted;
-    if (!steal_enabled_) return;
-    // Publish only after the command is actually enqueued: the steal
-    // board must never hold a batch that could still be shed from the
-    // backlog, or a thief would prepare work the owner never applies.
-    if (job) publish_stealable(s, job);
-    // Version bump for every command (ingest, barrier, stop): idle
-    // thieves parked on the signal must recheck their own queue too.
-    work_signal_.fetch_add(1, std::memory_order_release);
-    work_signal_.notify_all();
+void sharded_engine::submit_pending(shard& s) {
+    command cmd;
+    cmd.what = command::op::ingest;
+    cmd.job = std::make_shared<ingest_job>();
+    cmd.job->batch = std::move(s.pending);
+    cmd.job->seq = next_job_seq_++;
+    s.pending = {};
+    submit(s, std::move(cmd));
 }
 
 bool sharded_engine::watchdog_intervene(shard& s) {
@@ -405,82 +354,27 @@ bool sharded_engine::push_supervised(shard& s, command cmd, std::size_t& waits) 
     }
 }
 
-void sharded_engine::drain_backlog(shard& s, bool blocking, bool pressured) {
-    while (!s.backlog.empty()) {
-        // Capture the job handle first: a successful push moves the
-        // command out of the backlog slot.
-        std::shared_ptr<ingest_job> job = s.backlog.front().job;
-        if (blocking) {
-            std::size_t waits = 0;
-            const bool pushed = push_supervised(s, std::move(s.backlog.front()), waits);
-            if (pushed) note_enqueued(s, waits, job);
-            s.backlog.pop_front();
-            continue;
-        }
-        if (pressured || !s.queue.try_push(s.backlog.front())) return;
-        note_enqueued(s, 0, job);
-        s.backlog.pop_front();
-    }
-}
-
 void sharded_engine::submit(shard& s, command cmd) {
-    // Barrier commands ride behind any backlogged ingest — command order
-    // is the correctness contract — and always block; a forced-full
-    // window may shed data, never a barrier.
-    drain_backlog(s, /*blocking=*/true, /*pressured=*/false);
     std::shared_ptr<ingest_job> job = cmd.job;
     std::size_t waits = 0;
-    if (push_supervised(s, std::move(cmd), waits)) note_enqueued(s, waits, job);
-}
-
-void sharded_engine::submit_ingest(shard& s, command cmd) {
-    const bool pressured = forced_full();
-    switch (config_.overflow) {
-        case overflow_policy::block:
-            // Lossless: a forced-full window registers as backpressure
-            // (the real queue cannot be held artificially full without
-            // stalling the test clock), a genuinely full queue blocks.
-            if (pressured) ++s.full_waits;
-            submit(s, std::move(cmd));
-            return;
-        case overflow_policy::reject: {
-            std::shared_ptr<ingest_job> job = cmd.job;
-            if (!pressured && s.queue.try_push(cmd)) {
-                note_enqueued(s, 0, job);
-                return;
-            }
-            ++s.full_waits;
-            s.dropped_overflow += job->batch.size();
-            return;
-        }
-        case overflow_policy::drop_oldest: {
-            drain_backlog(s, /*blocking=*/false, pressured);
-            std::shared_ptr<ingest_job> job = cmd.job;
-            if (s.backlog.empty() && !pressured && s.queue.try_push(cmd)) {
-                note_enqueued(s, 0, job);
-                return;
-            }
-            ++s.full_waits;
-            s.backlog.push_back(std::move(cmd));
-            while (s.backlog.size() > config_.backlog_batches) {
-                s.dropped_overflow += s.backlog.front().job->batch.size();
-                s.backlog.pop_front();
-            }
-            return;
-        }
-    }
+    if (!push_supervised(s, std::move(cmd), waits)) return;
+    s.full_waits += waits;
+    s.max_depth = std::max(s.max_depth, static_cast<std::uint64_t>(s.queue.size()));
+    ++s.submitted;
+    if (!steal_enabled_) return;
+    // Publish only after the command is actually enqueued: the steal
+    // board must never hold a batch the watchdog shed for a dead shard,
+    // or a thief would prepare work the owner never applies.
+    if (job) publish_stealable(s, job);
+    // Version bump for every command (ingest, barrier, stop): idle
+    // thieves parked on the signal must recheck their own queue too.
+    work_signal_.fetch_add(1, std::memory_order_release);
+    work_signal_.notify_all();
 }
 
 void sharded_engine::flush_pending() {
     for (auto& s : shards_) {
-        if (s->pending.empty()) continue;
-        command cmd;
-        cmd.what = command::op::ingest;
-        cmd.job = std::make_shared<ingest_job>();
-        cmd.job->batch = std::move(s->pending);
-        cmd.job->seq = next_job_seq_++;
-        submit_ingest(*s, std::move(cmd));
-        s->pending = {};
+        if (!s->pending.empty()) submit_pending(*s);
     }
 }
 
@@ -524,9 +418,6 @@ void sharded_engine::barrier() {
 
 void sharded_engine::sync() {
     flush_pending();
-    // Deliver surviving backlog before any inline engine access: what was
-    // shed is gone, what was held must not be.
-    for (auto& s : shards_) drain_backlog(*s, /*blocking=*/true, /*pressured=*/false);
     barrier();
 }
 
@@ -666,12 +557,6 @@ std::vector<incident_report> sharded_engine::open_reports(sim_time now,
     return merged;
 }
 
-std::vector<incident_report> sharded_engine::reports(report_scope scope, sim_time now,
-                                                     const network_state& state) {
-    if (scope == report_scope::finished) return take_reports();
-    return open_reports(now, state);
-}
-
 preprocessor_stats sharded_engine::preprocessing_stats() {
     sync();
     preprocessor_stats total;
@@ -699,7 +584,6 @@ void sharded_engine::update_barrier_metrics() {
         total.enqueue_full_waits += s->full_waits;
         total.max_queue_depth = std::max(total.max_queue_depth, s->max_depth);
         total.busy_ns += s->busy_ns.load(std::memory_order_relaxed);
-        total.degraded.alerts_dropped_overflow += s->dropped_overflow;
         total.degraded.alerts_dropped_failed_shard +=
             s->dropped_failed.load(std::memory_order_relaxed);
         if (s->written_off.load(std::memory_order_acquire)) ++written_off;
@@ -754,7 +638,6 @@ engine_metrics sharded_engine::shard_metrics(std::size_t shard_index) {
     m.enqueue_full_waits = s.full_waits;
     m.max_queue_depth = s.max_depth;
     m.busy_ns = s.busy_ns.load(std::memory_order_relaxed);
-    m.degraded.alerts_dropped_overflow = s.dropped_overflow;
     m.degraded.alerts_dropped_failed_shard = s.dropped_failed.load(std::memory_order_relaxed);
     return m;
 }

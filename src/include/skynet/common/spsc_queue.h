@@ -7,8 +7,8 @@
 // dropped producer, or a producer facing a stalled shard, sleeps on a
 // futex after a short yield phase instead of burning a core — the
 // degradation semantics the fault-injection suite exercises. try_push
-// never blocks, which is what the sharded engine's non-blocking overflow
-// policies (drop_oldest / reject) build on.
+// never blocks, which is what the sharded engine's supervised push
+// (watchdog) polls with.
 #pragma once
 
 #include <atomic>

@@ -64,10 +64,9 @@ struct stage_metrics {
 /// by --metrics; the fault-injection suite asserts every injected
 /// pathology lands in exactly one of these.
 struct degraded_metrics {
-    std::uint64_t alerts_rejected{0};         ///< malformed input refused with a reason
-    std::uint64_t alerts_dropped_overflow{0};  ///< shed by the queue overflow policy
-    std::uint64_t skew_clamped{0};            ///< future timestamps clamped to arrival
-    std::uint64_t sources_in_dropout{0};      ///< distinct sources seen dark (fault layer)
+    std::uint64_t alerts_rejected{0};     ///< malformed input refused with a reason
+    std::uint64_t skew_clamped{0};        ///< future timestamps clamped to arrival
+    std::uint64_t sources_in_dropout{0};  ///< distinct sources seen dark (fault layer)
     /// Ingest alerts drained unexecuted on a shard whose worker failed.
     std::uint64_t alerts_dropped_failed_shard{0};
     /// Incident-log appends that broke the close-order invariant: the
@@ -81,14 +80,12 @@ struct degraded_metrics {
     std::uint64_t sketched{0};
 
     [[nodiscard]] bool any() const noexcept {
-        return alerts_rejected != 0 || alerts_dropped_overflow != 0 || skew_clamped != 0 ||
-               sources_in_dropout != 0 || alerts_dropped_failed_shard != 0 ||
-               log_out_of_order != 0 || sketched != 0;
+        return alerts_rejected != 0 || skew_clamped != 0 || sources_in_dropout != 0 ||
+               alerts_dropped_failed_shard != 0 || log_out_of_order != 0 || sketched != 0;
     }
 
     degraded_metrics& operator+=(const degraded_metrics& other) noexcept {
         alerts_rejected += other.alerts_rejected;
-        alerts_dropped_overflow += other.alerts_dropped_overflow;
         skew_clamped += other.skew_clamped;
         sources_in_dropout += other.sources_in_dropout;
         alerts_dropped_failed_shard += other.alerts_dropped_failed_shard;

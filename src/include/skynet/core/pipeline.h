@@ -63,12 +63,6 @@ struct incident_report {
     return a.inc.id < b.inc.id;
 }
 
-/// Which incidents a reports() call returns.
-enum class report_scope : std::uint8_t {
-    finished,  ///< closed incidents; drains the finished buffer
-    open,      ///< snapshot of the live (still-open) incidents
-};
-
 class skynet_engine {
 public:
     /// Construction dependencies; all non-owning. topo, customers and
@@ -106,11 +100,6 @@ public:
     /// Replaces the engine state with a previously exported snapshot.
     void import_state(persist_state state);
 
-    [[deprecated("pass skynet_engine::deps instead of four pointers")]] skynet_engine(
-        const topology* topo, const customer_registry* customers,
-        const alert_type_registry* registry, const syslog_classifier* syslog,
-        skynet_config config = {});
-
     /// Feeds one raw alert at its arrival time.
     void ingest(const raw_alert& raw, sim_time now);
 
@@ -141,17 +130,12 @@ public:
     /// Force-closes open incidents (end of an experiment episode).
     void finish(sim_time now, const network_state& state);
 
-    /// Unified ranked report access (severity desc, then incident id).
-    /// finished: drains the finished buffer; `now`/`state` are unused.
-    /// open: live snapshot evaluated against `state` at `now`.
-    [[nodiscard]] std::vector<incident_report> reports(report_scope scope, sim_time now,
-                                                       const network_state& state);
-
-    /// Drains finished incident reports, ranked. Thin wrapper kept for
-    /// callers that do not have a network_state at hand.
+    /// Drains finished incident reports, ranked (severity desc, then
+    /// incident id).
     [[nodiscard]] std::vector<incident_report> take_reports();
 
-    /// Snapshot reports of currently open incidents (live ranking view).
+    /// Snapshot reports of currently open incidents (live ranking view),
+    /// evaluated against `state` at `now` and ranked like take_reports().
     [[nodiscard]] std::vector<incident_report> open_reports(sim_time now,
                                                             const network_state& state) const;
 
@@ -179,7 +163,6 @@ private:
     void ingest_one_prepared(const raw_alert& raw, sim_time now, prepared_alert&& prep);
     [[nodiscard]] incident_report finalize(const incident& inc, sim_time now,
                                            const network_state& state);
-    [[nodiscard]] std::vector<incident_report> ranked_finished();
     void sync_overload_counters() noexcept;
 
     preprocessor pre_;

@@ -24,40 +24,17 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "skynet/common/mpsc_queue.h"
 #include "skynet/common/spin_mutex.h"
 #include "skynet/common/spsc_queue.h"
 #include "skynet/core/pipeline.h"
 
 namespace skynet {
-
-/// What the ingest path does when a shard's command queue is full.
-/// Barrier commands (tick/finish/stop) always block — dropping a barrier
-/// would deadlock the caller — so the policy governs ingest only.
-enum class overflow_policy : std::uint8_t {
-    /// Spin-then-park until the worker frees a slot (lossless
-    /// backpressure; the default, and the only policy that preserves
-    /// sequential/sharded report parity because nothing is shed).
-    block,
-    /// Shed the *oldest* waiting ingest batch once the producer-side
-    /// backlog overflows; newest data survives (alert floods are
-    /// redundant, the freshest observations matter most).
-    drop_oldest,
-    /// Shed the *incoming* batch when the queue is full; whatever is
-    /// already queued survives (cheapest: no backlog buffering at all).
-    reject,
-};
-
-[[nodiscard]] std::string_view to_string(overflow_policy policy) noexcept;
-[[nodiscard]] std::optional<overflow_policy> parse_overflow_policy(
-    std::string_view token) noexcept;
 
 struct sharded_config {
     /// Worker shard count (clamped to >= 1). Regions are assigned to
@@ -65,24 +42,14 @@ struct sharded_config {
     /// balances when failures span several regions.
     std::size_t shards = 4;
     /// Per-shard command-queue capacity (rounded up to a power of two).
-    /// The producer spins when a queue is full — backpressure, surfaced
-    /// via engine_metrics::enqueue_full_waits.
+    /// Ingest is lossless: the producer spins, then parks, while a queue
+    /// is full — backpressure, surfaced via
+    /// engine_metrics::enqueue_full_waits. Only a dead shard's ingest is
+    /// ever shed (degraded.alerts_dropped_failed_shard).
     std::size_t queue_capacity = 256;
     /// Ingest commands are coalesced into batches of up to this many
     /// alerts before being enqueued (amortizes queue traffic).
     std::size_t max_ingest_batch = 64;
-    /// Full-queue behaviour for ingest commands (see overflow_policy).
-    /// Shedding policies count every discarded alert in
-    /// engine_metrics::degraded.alerts_dropped_overflow.
-    overflow_policy overflow = overflow_policy::block;
-    /// drop_oldest only: ingest batches the producer may hold while the
-    /// queue is full before the oldest is shed (clamped to >= 1).
-    std::size_t backlog_batches = 16;
-    /// Fault hook: when set and returning true, the submit path treats
-    /// the shard queue as full (a forced-full window) regardless of real
-    /// occupancy. Drives overflow-policy tests and the --faults
-    /// pressure clause; see fault_injector::queue_pressure_hook().
-    std::function<bool()> force_full{};
     /// Fault hook: invoked by each worker thread (with its shard index)
     /// before executing a command; a throw simulates the shard's engine
     /// crashing mid-command. Drives the worker-failure survivability
@@ -156,7 +123,7 @@ public:
     /// `state` is only read while this call blocks. If a worker thread
     /// failed (its engine threw mid-command), the failure surfaces here
     /// as a skynet_error after the barrier completes — the other shards
-    /// keep running and their data stays reachable via reports().
+    /// keep running and their data stays reachable via take_reports().
     void tick(sim_time now, const network_state& state);
 
     /// Fans out finish() and waits; all incidents close. Surfaces worker
@@ -171,15 +138,12 @@ public:
     /// Human-readable "shard N: message" lines for every failed shard.
     [[nodiscard]] std::vector<std::string> failed_shard_messages() const;
 
-    /// Unified ranked report access, merged across shards (severity
-    /// desc, then incident id). Drains pending ingest first.
-    [[nodiscard]] std::vector<incident_report> reports(report_scope scope, sim_time now,
-                                                       const network_state& state);
-
-    /// Merged ranked finished reports (drains every shard).
+    /// Merged ranked finished reports (severity desc, then incident id).
+    /// Drains pending ingest, then every shard's finished buffer.
     [[nodiscard]] std::vector<incident_report> take_reports();
 
-    /// Merged ranked snapshot of the open incidents.
+    /// Merged ranked snapshot of the open incidents. Drains pending
+    /// ingest first.
     [[nodiscard]] std::vector<incident_report> open_reports(sim_time now,
                                                             const network_state& state);
 
@@ -217,10 +181,11 @@ private:
     /// queue and the steal board. `stage` is the claim protocol:
     /// 0 = unclaimed, 1 = claimed (being prepared), 2 = prepared,
     /// 3 = prepare aborted (thief hit an exception; owner falls back).
-    /// A thief moves 0→1 (CAS), fills `prep`, stores 2 (release), and
-    /// hands the job back through the owner's `done` queue; the owner
-    /// either wins the CAS itself and runs inline, or waits for stage ≥ 2
-    /// and applies the thief's result — in submission order either way.
+    /// A thief moves 0→1 (CAS), fills `prep`, stores 2 (release) and
+    /// notifies `stage` while it still holds the job; the owner either
+    /// wins the CAS itself and runs inline, or waits on `stage` until it
+    /// leaves 1 and applies the thief's result — in submission order
+    /// either way.
     struct ingest_job {
         std::vector<traced_alert> batch;
         /// Engine-wide submission sequence: the deterministic steal
@@ -239,15 +204,11 @@ private:
 
     struct shard {
         shard(skynet_engine::deps d, const skynet_config& cfg, std::size_t queue_capacity,
-              std::size_t done_capacity, std::size_t idx)
-            : engine(d, cfg), queue(queue_capacity), done(done_capacity), index(idx) {}
+              std::size_t idx)
+            : engine(d, cfg), queue(queue_capacity), index(idx) {}
 
         skynet_engine engine;
         spsc_queue<command> queue;
-        /// Prepared-batch handoff from thieves back to this shard's
-        /// owner. Sized queue + backlog + slack, so a thief's push can
-        /// never block indefinitely (tokens ≤ in-flight ingest commands).
-        mpsc_queue<std::shared_ptr<ingest_job>> done;
         std::size_t index{0};
         /// Steal board: this shard's queued ingest jobs a thief may
         /// claim, oldest (lowest seq) first. Caller pushes after a
@@ -264,12 +225,9 @@ private:
         std::atomic<std::uint64_t> prepare_ns{0};
         // Producer-side accounting (caller thread only).
         std::vector<traced_alert> pending;
-        /// Ingest commands waiting out a full queue (drop_oldest only).
-        std::deque<command> backlog;
         std::uint64_t submitted{0};
         std::uint64_t full_waits{0};
         std::uint64_t max_depth{0};
-        std::uint64_t dropped_overflow{0};
         // Worker-side completion, waited on by the caller's barrier.
         std::atomic<std::uint64_t> completed{0};
         std::atomic<std::uint64_t> busy_ns{0};
@@ -300,13 +258,6 @@ private:
     bool execute_command(shard& s, command& cmd);
     /// The steal-aware ingest path: claim-or-wait on the job's stage.
     void run_ingest(shard& s, ingest_job& job);
-    /// Owner reached a job a thief is still preparing: drain `done`
-    /// tokens until its stage advances (the thief publishes stage before
-    /// pushing the token, so this cannot miss).
-    void wait_for_prepared(shard& s, ingest_job& job);
-    /// Discards pending done-tokens (each token's work is recorded in
-    /// its job's stage; the token itself is only a wakeup).
-    void drain_done(shard& s);
     /// Scans peers in ring order from `self`; claims and prepares the
     /// first victim's lowest-seq unclaimed batch. True if work was done.
     bool try_steal(shard& self);
@@ -322,15 +273,14 @@ private:
     /// would — never dereferenced here.
     [[nodiscard]] std::size_t shard_of(const raw_alert& raw, location_id& interned);
     void append(std::size_t idx, const raw_alert& raw, location_id interned, sim_time now);
-    /// Barrier-grade enqueue: drains the backlog, then blocks until the
-    /// command fits. tick/finish/stop and sync points go through here.
+    /// Enqueues the shard's pending alerts as one ingest job.
+    void submit_pending(shard& s);
+    /// The one enqueue path for every command (ingest, tick, finish,
+    /// stop): blocks until the command fits — nothing is shed unless the
+    /// watchdog finds the shard dead (see push_supervised) — then does
+    /// the enqueue bookkeeping, publishes an ingest job to the steal
+    /// board and wakes parked workers.
     void submit(shard& s, command cmd);
-    /// Policy-governed enqueue for ingest commands.
-    void submit_ingest(shard& s, command cmd);
-    /// Re-enqueues backlogged ingest. Non-blocking unless `blocking`;
-    /// under a forced-full window the non-blocking drain stalls too.
-    void drain_backlog(shard& s, bool blocking, bool pressured);
-    [[nodiscard]] bool forced_full() const;
     /// Blocking enqueue. With the watchdog enabled, supervises the wait:
     /// a stalled shard is intervened on, and ingest bound for a dead
     /// shard with a full queue is shed (returns false) instead of
@@ -342,10 +292,6 @@ private:
     bool watchdog_intervene(shard& s);
     /// Rebuilds the merged barrier_metrics_ cache (shards must be idle).
     void update_barrier_metrics();
-    /// Bookkeeping shared by every successful enqueue; publishes ingest
-    /// jobs to the steal board and wakes parked workers.
-    void note_enqueued(shard& s, std::size_t waits,
-                       const std::shared_ptr<ingest_job>& job = nullptr);
     void flush_pending();
     /// Waits until every shard has executed everything submitted to it.
     void barrier();

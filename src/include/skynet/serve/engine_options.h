@@ -1,7 +1,7 @@
 // One service-facing option surface for the whole stack.
 //
 // Five PRs of growth accreted options in layers: the pipeline's
-// skynet_config, the sharded engine's overflow/watchdog knobs, the
+// skynet_config, the sharded engine's steal/watchdog knobs, the
 // persist layer's checkpoint settings, the overload controller's
 // admission/breaker switches, and now the daemon's listen addresses.
 // engine_options is the single aggregate the batch CLI and the daemon
@@ -106,7 +106,6 @@ struct engine_options {
     skynet_config pipeline{};
     int shards{0};  ///< 0 = sequential engine; --shards auto = hardware_concurrency
     bool steal{true};  ///< --steal on|off: deterministic work stealing between shards
-    std::string overflow{"block"};
     std::uint64_t watchdog_deadline{0};  ///< ms; 0 = off
 
     // Overload control.
@@ -160,9 +159,8 @@ struct engine_options {
     /// The life-cycle manager config these options describe.
     [[nodiscard]] lifecycle::config lifecycle_config() const;
 
-    /// The sharded-engine config these options describe (overflow must
-    /// have validated; an unparsable token falls back to block).
-    [[nodiscard]] sharded_config sharded(const std::string& parsed_overflow = {}) const;
+    /// The sharded-engine config these options describe.
+    [[nodiscard]] sharded_config sharded() const;
 
     /// Cross-checks every block for `mode`. Empty vector = valid. Each
     /// entry names the offending flag, so callers can print

@@ -3,8 +3,7 @@
 // SkyNet's value is that it keeps working *during* severe failures
 // (§1, §4.2) — which is exactly when its own inputs degrade: monitors
 // stop reporting, collection paths duplicate and reorder deliveries,
-// clocks skew, relays garble fields, and ingest queues back up. The
-// fault_injector scripts those pathologies over a recorded or live
+// clocks skew, and relays garble fields. The fault_injector scripts those pathologies over a recorded or live
 // alert stream, seeded so every degraded run is replayable bit-for-bit.
 //
 // The injector sits *in front of* the engine: it transforms the single
@@ -12,15 +11,13 @@
 // stream order. Both the sequential and the region-sharded engine then
 // consume the identical faulted stream, so report parity between them
 // is preserved under any fault seed (the property test_faults.cpp
-// checks). The one exception is queue overflow shedding, which happens
-// inside the sharded engine and is documented in DESIGN.md "Fault model
-// & degradation semantics".
+// checks).
 //
 // Fault clauses are scriptable through a small text DSL (the CLI's
 // --faults flag, and the scenario recipes in EXPERIMENTS.md):
 //
 //   seed=3;dropout=0.2;drop:ping@60s+120s;dup=0.05;reorder=0.1;
-//   reorder_max=10s;skew=5s;skew_rate=0.3;corrupt=0.02;pressure=0.5;
+//   reorder_max=10s;skew=5s;skew_rate=0.3;corrupt=0.02;
 //   stall:1@4;stall=0.01
 //
 // Clauses are ';' or ',' separated; durations take ms/s/m suffixes.
@@ -87,11 +84,6 @@ struct fault_spec {
     sim_duration max_skew{0};
     double skew_rate{0.0};
 
-    /// Probability per submit that a shard queue is treated as full (a
-    /// forced-full window); drives the sharded engine's overflow policy
-    /// via fault_injector::queue_pressure_hook().
-    double pressure_rate{0.0};
-
     /// Scripted worker stalls (the `stall:<shard>@<ordinal>` clause);
     /// drives sharded_config::worker_stall via worker_stall_hook().
     std::vector<stall_point> stalls;
@@ -152,12 +144,6 @@ public:
 
     /// Releases everything still held (end of the stream).
     [[nodiscard]] std::vector<traced_alert> drain();
-
-    /// Seeded forced-full predicate for sharded_config::force_full; fires
-    /// with probability pressure_rate per call, independently of the
-    /// alert-stream rng so the faulted stream stays identical whether or
-    /// not the hook is installed.
-    [[nodiscard]] std::function<bool()> queue_pressure_hook();
 
     /// Stall predicate for sharded_config::worker_stall; fires at every
     /// scripted stall point and with probability stall_rate per (shard,

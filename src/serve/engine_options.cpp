@@ -58,12 +58,10 @@ lifecycle::config engine_options::lifecycle_config() const {
     return cfg;
 }
 
-sharded_config engine_options::sharded(const std::string& parsed_overflow) const {
+sharded_config engine_options::sharded() const {
     sharded_config cfg;
     cfg.engine = pipeline;
     cfg.shards = static_cast<std::size_t>(shards);
-    const std::string& token = parsed_overflow.empty() ? overflow : parsed_overflow;
-    if (const auto policy = parse_overflow_policy(token)) cfg.overflow = *policy;
     cfg.watchdog_deadline_ms = watchdog_deadline;
     cfg.steal = steal;
     return cfg;
@@ -82,9 +80,6 @@ std::vector<option_error> engine_options::validate(run_mode mode) const {
     // Blocks shared by batch and serve runs.
     if (mode != run_mode::client) {
         if (error e = pipeline.validate()) errors.push_back({"pipeline config", e.message()});
-        if (!parse_overflow_policy(overflow)) {
-            errors.push_back({"--overflow", "unknown policy '" + overflow + "'"});
-        }
         try {
             overload_config().validate();
         } catch (const std::exception& e) {
@@ -341,8 +336,6 @@ cli_parse_result parse_cli(int argc, const char* const* argv) {
             opt.replay_file = value();
         } else if (arg == "--faults") {
             opt.faults_spec = value();
-        } else if (arg == "--overflow") {
-            opt.overflow = value();
         } else if (arg == "--checkpoint-dir") {
             opt.checkpoint_dir = value();
         } else if (arg == "--checkpoint-every") {
@@ -483,10 +476,8 @@ std::string cli_usage() {
         "  --replay FILE                    replay a recorded trace (skips the simulator)\n"
         "  --faults SPEC                    degrade the ingest stream deterministically, e.g.\n"
         "                                   'seed=3;dropout=0.2;dup=0.05;reorder=0.1;skew=5s;\n"
-        "                                   skew_rate=0.3;corrupt=0.02;drop:ping@60s+120s;\n"
-        "                                   pressure=0.5' (see DESIGN.md fault model)\n"
-        "  --overflow block|drop_oldest|reject\n"
-        "                                   shard-queue policy when full (default block)\n"
+        "                                   skew_rate=0.3;corrupt=0.02;drop:ping@60s+120s'\n"
+        "                                   (see DESIGN.md fault model)\n"
         "  --checkpoint-dir DIR             journal every batch/tick and write\n"
         "                                   barrier-consistent checkpoints into DIR\n"
         "  --checkpoint-every N             barriers between checkpoints (default 8)\n"

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 
 #include "skynet/common/strings.h"
 
@@ -65,7 +64,7 @@ std::uint64_t mix64(std::uint64_t x) {
 bool fault_spec::any() const noexcept {
     return !dropouts.empty() || dropout_rate > 0.0 || duplicate_rate > 0.0 ||
            reorder_rate > 0.0 || corrupt_rate > 0.0 || (skew_rate > 0.0 && max_skew > 0) ||
-           pressure_rate > 0.0 || !stalls.empty() || stall_rate > 0.0;
+           !stalls.empty() || stall_rate > 0.0;
 }
 
 error fault_spec::validate() const {
@@ -74,7 +73,6 @@ error fault_spec::validate() const {
     if (!rate_ok(reorder_rate)) return error("faults: reorder rate outside [0,1]");
     if (!rate_ok(corrupt_rate)) return error("faults: corrupt rate outside [0,1]");
     if (!rate_ok(skew_rate)) return error("faults: skew_rate outside [0,1]");
-    if (!rate_ok(pressure_rate)) return error("faults: pressure rate outside [0,1]");
     if (!rate_ok(stall_rate)) return error("faults: stall rate outside [0,1]");
     for (const stall_point& p : stalls) {
         if (p.ordinal == 0) return error("faults: stall ordinal is 1-based, got 0");
@@ -181,9 +179,6 @@ fault_parse_result parse_fault_spec(std::string_view text) {
             } else if (key == "corrupt") {
                 if (rate) result.spec.corrupt_rate = *rate;
                 else fail(part, "corrupt rate outside [0,1]");
-            } else if (key == "pressure") {
-                if (rate) result.spec.pressure_rate = *rate;
-                else fail(part, "pressure rate outside [0,1]");
             } else if (key == "stall") {
                 if (rate) result.spec.stall_rate = *rate;
                 else fail(part, "stall rate outside [0,1]");
@@ -311,15 +306,6 @@ std::vector<traced_alert> fault_injector::drain() {
     std::vector<traced_alert> out;
     pop_due(std::numeric_limits<sim_time>::max(), out);
     return out;
-}
-
-std::function<bool()> fault_injector::queue_pressure_hook() {
-    if (spec_.pressure_rate <= 0.0) return {};
-    // Independent generator: the hook's draws must not perturb the alert
-    // stream, and the stream's draws must not perturb the hook.
-    auto pressure_rng = std::make_shared<rng>(mix64(spec_.seed ^ 0x70726573u));
-    const double rate = spec_.pressure_rate;
-    return [pressure_rng, rate]() { return pressure_rng->chance(rate); };
 }
 
 std::function<bool(std::size_t, std::uint64_t)> fault_injector::worker_stall_hook() const {

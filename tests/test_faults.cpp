@@ -1,13 +1,10 @@
 // Fault-injection tests: the DSL parser, scripted and random dropout,
-// same-seed determinism, and the headline property from ISSUE 3 — for
-// any fault seed, a faulted replay never crashes, never emits an
-// incident with an inverted time window, and (under the lossless
-// `block` overflow policy) the sequential and region-sharded engines
+// same-seed determinism, and the headline property — for any fault
+// seed, a faulted replay never crashes, never emits an incident with an
+// inverted time window, and the sequential and region-sharded engines
 // still produce bit-identical ranked reports, because the injector
-// degrades the single ordered stream *before* ingest. Overflow
-// shedding — the one parity-breaking fault — is exercised separately:
-// the run must complete and count every drop in
-// engine_metrics::degraded.
+// degrades the single ordered stream *before* ingest and shard ingest
+// is lossless (a full queue blocks the producer, even a 2-slot one).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -99,7 +96,7 @@ void expect_no_inverted_windows(const std::vector<incident_report>& reports) {
 TEST(FaultSpecParseTest, FullSpecRoundTrips) {
     const fault_parse_result r = parse_fault_spec(
         "seed=3;dropout=0.2;drop:ping@60s+120s;dup=0.05;reorder=0.1;"
-        "reorder_max=10s;skew=5s;skew_rate=0.3;corrupt=0.02;pressure=0.5");
+        "reorder_max=10s;skew=5s;skew_rate=0.3;corrupt=0.02");
     ASSERT_TRUE(r.ok()) << (r.errors.empty() ? "" : r.errors.front().message);
     EXPECT_EQ(r.spec.seed, 3u);
     EXPECT_DOUBLE_EQ(r.spec.dropout_rate, 0.2);
@@ -109,7 +106,6 @@ TEST(FaultSpecParseTest, FullSpecRoundTrips) {
     EXPECT_EQ(r.spec.max_skew, seconds(5));
     EXPECT_DOUBLE_EQ(r.spec.skew_rate, 0.3);
     EXPECT_DOUBLE_EQ(r.spec.corrupt_rate, 0.02);
-    EXPECT_DOUBLE_EQ(r.spec.pressure_rate, 0.5);
     ASSERT_EQ(r.spec.dropouts.size(), 1u);
     EXPECT_EQ(r.spec.dropouts[0].source, data_source::ping);
     EXPECT_EQ(r.spec.dropouts[0].from, seconds(60));
@@ -127,9 +123,12 @@ TEST(FaultSpecParseTest, CommaSeparatorAndDurationSuffixes) {
 
 TEST(FaultSpecParseTest, CollectsEveryBadClause) {
     const fault_parse_result r =
-        parse_fault_spec("dropout=1.5;bogus=1;drop:nosuch@0s+1s;dup=0.1");
+        parse_fault_spec("dropout=1.5;bogus=1;drop:nosuch@0s+1s;dup=0.1;pressure=0.5");
     EXPECT_FALSE(r.ok());
-    ASSERT_EQ(r.errors.size(), 3u);
+    ASSERT_EQ(r.errors.size(), 4u);
+    // Shard queues never shed, so there is no forced-full clause.
+    EXPECT_EQ(r.errors[3].clause, "pressure=0.5");
+    EXPECT_EQ(r.errors[3].message, "unknown fault clause");
     // Valid clauses still land so the caller can report-and-refuse.
     EXPECT_DOUBLE_EQ(r.spec.duplicate_rate, 0.1);
 }
@@ -255,32 +254,14 @@ TEST(FaultInjectorTest, ReorderHoldsThenReleasesEverything) {
     EXPECT_TRUE(faults.drain().empty());
 }
 
-TEST(FaultInjectorTest, PressureHookIsIndependentOfStream) {
-    fault_spec spec;
-    spec.seed = 9;
-    spec.pressure_rate = 0.5;
-    spec.duplicate_rate = 0.5;
-
-    fault_injector a(spec);
-    fault_injector b(spec);
-    auto hook_a = a.queue_pressure_hook();
-    auto hook_b = b.queue_pressure_hook();
-    ASSERT_TRUE(hook_a && hook_b);
-    // Draining stream rng draws on `a` only must not desync the hooks.
-    std::vector<traced_alert> sink;
-    for (int i = 0; i < 50; ++i) a.feed(probe(data_source::snmp, seconds(i)), sink);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(hook_a(), hook_b());
-
-    fault_spec inert;
-    fault_injector c(inert);
-    EXPECT_FALSE(c.queue_pressure_hook());  // no pressure clause, no hook
-}
-
 // ----------------------------------------------------- e2e properties
 
-/// ISSUE 3 headline property: under the lossless `block` policy the
-/// faulted stream reaches both engines identically, so sequential and
-/// 4-shard runs must agree bit-for-bit — for every fault seed.
+/// Headline property: the faulted stream reaches both engines
+/// identically and shard ingest sheds nothing, so sequential and
+/// 4-shard runs must agree bit-for-bit — for every fault seed. The last
+/// row puts the shards behind 2-slot queues with one alert per command,
+/// so the producer keeps finding a full queue and blocks: lossless
+/// backpressure must not change a byte either.
 TEST(FaultedParityTest, SequentialMatchesShardedForThreeSeeds) {
     world w;
     fault_spec spec;
@@ -292,9 +273,19 @@ TEST(FaultedParityTest, SequentialMatchesShardedForThreeSeeds) {
     spec.max_skew = seconds(5);
     spec.corrupt_rate = 0.02;
 
-    for (const std::uint64_t fault_seed : {3u, 17u, 4242u}) {
-        SCOPED_TRACE("fault seed " + std::to_string(fault_seed));
-        spec.seed = fault_seed;
+    struct row {
+        std::uint64_t fault_seed;
+        std::size_t queue_capacity;
+        std::size_t max_ingest_batch;
+    };
+    const sharded_config roomy;
+    const std::size_t cap = roomy.queue_capacity;
+    const std::size_t batch = roomy.max_ingest_batch;
+    for (const row& r : {row{3, cap, batch}, row{17, cap, batch}, row{4242, cap, batch},
+                         row{3, 2, 1}}) {
+        SCOPED_TRACE("fault seed " + std::to_string(r.fault_seed) + ", queue capacity " +
+                     std::to_string(r.queue_capacity));
+        spec.seed = r.fault_seed;
         const scenario_factory make = [&] {
             rng srand(82);
             return make_security_ddos(w.topo, srand, 3);
@@ -308,9 +299,18 @@ TEST(FaultedParityTest, SequentialMatchesShardedForThreeSeeds) {
 
         sharded_config scfg;
         scfg.shards = 4;
+        scfg.queue_capacity = r.queue_capacity;
+        scfg.max_ingest_batch = r.max_ingest_batch;
         sharded_engine par(w.deps(), scfg);
         const fault_stats par_faults = drive_faulted(w, par, spec, make, minutes(5), 83);
         const std::vector<incident_report> par_reports = par.take_reports();
+
+        // Preconditions: there is something to compare, and the 2-slot
+        // row's producer really did block on a full queue.
+        ASSERT_FALSE(seq_reports.empty());
+        if (r.queue_capacity == 2) {
+            ASSERT_GT(par.metrics().enqueue_full_waits, 0u);
+        }
 
         // The two injectors saw the same stream and made the same calls.
         EXPECT_EQ(seq_faults.alerts_in, par_faults.alerts_in);
@@ -347,44 +347,6 @@ TEST(FaultedParityTest, HeavyCorruptionNeverCrashesOrInvertsWindows) {
     EXPECT_GT(fs.corrupted, 0u);
     expect_no_inverted_windows(eng.take_reports());
     EXPECT_GT(eng.metrics().degraded.alerts_rejected, 0u);
-}
-
-/// The acceptance scenario: dropout + reorder + forced queue pressure on
-/// a multi-region flood, with a shedding overflow policy. The run must
-/// complete, count every shed alert, and render the degradation.
-TEST(FaultedOverflowTest, MultiRegionFloodUnderPressureCompletes) {
-    world w;
-    fault_spec spec;
-    spec.seed = 13;
-    spec.dropout_rate = 0.15;
-    spec.reorder_rate = 0.1;
-    spec.pressure_rate = 0.6;
-
-    for (const overflow_policy policy :
-         {overflow_policy::reject, overflow_policy::drop_oldest}) {
-        SCOPED_TRACE(std::string(to_string(policy)));
-        fault_injector pressure(spec);
-        sharded_config scfg;
-        scfg.shards = 4;
-        scfg.overflow = policy;
-        scfg.backlog_batches = 2;
-        scfg.max_ingest_batch = 4;
-        scfg.force_full = pressure.queue_pressure_hook();
-        sharded_engine eng(w.deps(), scfg);
-
-        const scenario_factory make = [&] {
-            rng srand(82);
-            return make_security_ddos(w.topo, srand, 3);
-        };
-        drive_faulted(w, eng, spec, make, minutes(5), 83);
-        const std::vector<incident_report> reports = eng.take_reports();
-        expect_no_inverted_windows(reports);
-
-        const engine_metrics m = eng.metrics();
-        EXPECT_GT(m.degraded.alerts_dropped_overflow, 0u);
-        EXPECT_GT(m.enqueue_full_waits, 0u);
-        EXPECT_NE(m.render().find("degraded"), std::string::npos);
-    }
 }
 
 /// Exception-safety at every stage boundary: malformed alerts that slip

@@ -44,10 +44,14 @@ TEST_P(Properties, LocationLaws) {
         EXPECT_LE(site.depth(), depth_of(hierarchy_level::site));
 
         // Round trip through text.
-        if (!a.is_root()) EXPECT_EQ(location::parse(a.to_string()), a);
+        if (!a.is_root()) {
+            EXPECT_EQ(location::parse(a.to_string()), a);
+        }
 
         // Hash consistency with equality.
-        if (a == b) EXPECT_EQ(location_hash{}(a), location_hash{}(b));
+        if (a == b) {
+            EXPECT_EQ(location_hash{}(a), location_hash{}(b));
+        }
     }
 }
 
@@ -83,10 +87,14 @@ TEST_P(Properties, TopologyGraphLaws) {
         const auto d_ab = topo.hop_distance(a, b);
         const auto d_ba = topo.hop_distance(b, a);
         EXPECT_EQ(d_ab, d_ba);
-        if (a == b) EXPECT_EQ(d_ab, 0);
+        if (a == b) {
+            EXPECT_EQ(d_ab, 0);
+        }
         // Adjacency is symmetric and implies distance 1.
         EXPECT_EQ(topo.adjacent(a, b), topo.adjacent(b, a));
-        if (a != b && topo.adjacent(a, b)) EXPECT_EQ(d_ab, 1);
+        if (a != b && topo.adjacent(a, b)) {
+            EXPECT_EQ(d_ab, 1);
+        }
     }
 
     // connected_components partitions its input: disjoint, complete.

@@ -2,16 +2,19 @@
 // bit-identical to a sequential skynet_engine run on the same trace
 // (same scenario, same seed), for any shard count — the partition
 // invariant DESIGN.md "Region-sharded engine" documents. Also covers
-// the batch-ingest API, skynet_config::validate(), the unified
-// reports() view, and engine metrics.
+// the batch-ingest API, skynet_config::validate(), the open and
+// finished report views, engine metrics, and the steal handoff (an
+// owner parked on a batch a thief is preparing).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <span>
 
+#include "flood_fixture.h"
 #include "skynet/core/pipeline.h"
 #include "skynet/core/sharded_engine.h"
+#include "skynet/serve/report_text.h"
 #include "skynet/sim/engine.h"
 #include "skynet/topology/generator.h"
 
@@ -154,6 +157,8 @@ TEST(ShardedEquivalenceTest, TinyQueueBackpressureStaysCorrect) {
     sharded_engine b(w.deps(), tight);
     drive(w, b, make, minutes(5), 97);
 
+    // Precondition: the producer really did wait on a full queue.
+    ASSERT_GT(b.metrics().enqueue_full_waits, 0u);
     expect_identical_reports(a.take_reports(), b.take_reports());
 }
 
@@ -230,6 +235,82 @@ TEST(StealParityTest, StealUnderStallKeepsParityAndStealsBatches) {
     EXPECT_EQ(m.overload.shards_written_off, 0u);
     EXPECT_GE(m.steal.batches_stolen, 1u);
     EXPECT_GE(m.steal.alerts_stolen, m.steal.batches_stolen);
+}
+
+/// The 4-region flood cut down to its first region: region routing puts
+/// every alert on one shard, so with two shards the other worker only
+/// ever steals, and the owner keeps reaching batches a thief is still
+/// preparing.
+test_flood::tick_trace one_region_flood() {
+    const test_flood::flood_world& w = test_flood::region4_world();
+    const test_flood::tick_trace& all = test_flood::region4_flood();
+    location region;
+    for (const device& d : w.topo.devices()) {
+        if (d.role == device_role::isr) {
+            region = d.loc.ancestor_at(hierarchy_level::region);
+            break;
+        }
+    }
+    test_flood::tick_trace t;
+    t.ticks = all.ticks;
+    t.end = all.end;
+    for (const std::vector<traced_alert>& batch : all.batches) {
+        std::vector<traced_alert>& kept = t.batches.emplace_back();
+        for (const traced_alert& a : batch) {
+            if (region.contains(a.alert.loc)) kept.push_back(a);
+        }
+        t.total_alerts += kept.size();
+    }
+    return t;
+}
+
+template <typename Engine>
+std::string replay_listing(Engine& eng, const test_flood::tick_trace& t) {
+    test_flood::flood_world& w = test_flood::region4_world();
+    network_state net(&w.topo, &w.customers);
+    for (std::size_t i = 0; i < t.ticks.size(); ++i) {
+        eng.ingest_batch(std::span<const traced_alert>(t.batches[i]));
+        eng.tick(t.ticks[i], net);
+    }
+    eng.finish(t.end, net);
+    return serve::render_report_listing(eng.take_reports());
+}
+
+TEST(StealHandoffTest, OwnerWaitsOnStolenBatchesAndKeepsParity) {
+    // The owner parks on a stolen job's `stage` until the thief stores
+    // the prepared result and notifies. A lost wakeup hangs this test
+    // until the suite's ctest TIMEOUT; a torn handoff changes a byte of
+    // the listing.
+    const test_flood::tick_trace trace = one_region_flood();
+    ASSERT_GT(trace.total_alerts, 1000u);
+    skynet_config cfg;
+    cfg.loc.deterministic_ids = true;
+    skynet_engine seq(test_flood::region4_world().deps(), cfg);
+    const std::string want = replay_listing(seq, trace);
+    ASSERT_NE(want.find("Incident"), std::string::npos) << "the reference listing is empty";
+
+    constexpr int kRounds = 12;
+    std::vector<std::string> listings;
+    std::uint64_t stolen = 0;
+    std::uint64_t owner_waits = 0;
+    for (int round = 0; round < kRounds; ++round) {
+        sharded_config scfg;
+        scfg.shards = 2;
+        scfg.steal = true;
+        scfg.engine = cfg;
+        scfg.max_ingest_batch = 4;  // many short jobs: many handoffs
+        sharded_engine eng(test_flood::region4_world().deps(), scfg);
+        listings.push_back(replay_listing(eng, trace));
+        const steal_metrics st = eng.metrics().steal;
+        stolen += st.batches_stolen;
+        owner_waits += st.owner_waits;
+    }
+    // Precondition: the handoff under test really ran.
+    ASSERT_GE(stolen, 1u) << "no batch was stolen in " << kRounds << " rounds";
+    ASSERT_GE(owner_waits, 1u) << "no owner waited on a thief in " << kRounds << " rounds";
+    for (int round = 0; round < kRounds; ++round) {
+        EXPECT_EQ(listings[static_cast<std::size_t>(round)], want) << "round " << round;
+    }
 }
 
 TEST(ShardedEngineTest, RoutesRegionsAndCountsShards) {
@@ -423,18 +504,18 @@ TEST(ReportScopeTest, OpenThenFinishedViews) {
         [&](sim_time now) { eng.tick(now, sim.state()); });
 
     // Mid-failure: the incident is still open.
-    const auto open = eng.reports(report_scope::open, sim.clock().now(), sim.state());
+    const auto open = eng.open_reports(sim.clock().now(), sim.state());
     ASSERT_FALSE(open.empty());
     EXPECT_TRUE(std::is_sorted(open.begin(), open.end(), [](const auto& x, const auto& y) {
         return report_before(x, y);
     }));
 
     eng.finish(sim.clock().now(), sim.state());
-    const auto finished = eng.reports(report_scope::finished, sim.clock().now(), sim.state());
+    const auto finished = eng.take_reports();
     EXPECT_GE(finished.size(), open.size());
     // finished drains: a second call returns nothing.
-    EXPECT_TRUE(eng.reports(report_scope::finished, sim.clock().now(), sim.state()).empty());
-    EXPECT_TRUE(eng.reports(report_scope::open, sim.clock().now(), sim.state()).empty());
+    EXPECT_TRUE(eng.take_reports().empty());
+    EXPECT_TRUE(eng.open_reports(sim.clock().now(), sim.state()).empty());
 }
 
 TEST(EngineMetricsTest, SequentialCountersAccumulate) {

@@ -1,19 +1,15 @@
-// SPSC queue overflow and backoff tests, plus the sharded engine's
-// three overflow policies driven deterministically through the
-// force_full hook. Runs under the `tsan` ctest label: the park/wake
-// paths (push waiting on a slow consumer, pop_blocking waiting on a
-// slow producer) are exactly where a lost notify or a data race would
-// hide.
+// SPSC queue overflow and backoff tests: the full-ring boundary and the
+// blocking push that gives the sharded engine its lossless backpressure.
+// Runs under the `tsan` ctest label: the park/wake paths (push waiting
+// on a slow consumer, pop_blocking waiting on a slow producer) are
+// exactly where a lost notify or a data race would hide.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
-#include <span>
+#include <chrono>
 #include <thread>
 
 #include "skynet/common/spsc_queue.h"
-#include "skynet/core/sharded_engine.h"
-#include "skynet/topology/generator.h"
 
 namespace skynet {
 namespace {
@@ -115,142 +111,6 @@ TEST(SpscQueueTest, PushParksAgainstFullRingThenWakes) {
     EXPECT_TRUE(pushed.load(std::memory_order_acquire));
     ASSERT_TRUE(q.try_pop(out));
     EXPECT_EQ(out, 1);
-}
-
-// ------------------------------------------- sharded overflow policies
-
-struct world {
-    topology topo;
-    customer_registry customers;
-    alert_type_registry registry = alert_type_registry::with_builtin_catalog();
-    syslog_classifier syslog = syslog_classifier::train_from_catalog();
-
-    world() {
-        generator_params p = generator_params::tiny();
-        p.legacy_snmp_fraction = 0.0;
-        topo = generate_topology(p);
-        rng crand(71);
-        customers = customer_registry::generate(topo, 50, crand);
-    }
-
-    [[nodiscard]] skynet_engine::deps deps() {
-        return {&topo, &customers, &registry, &syslog};
-    }
-};
-
-TEST(OverflowPolicyTest, ParseAndRenderRoundTrip) {
-    EXPECT_EQ(parse_overflow_policy("block"), overflow_policy::block);
-    EXPECT_EQ(parse_overflow_policy("drop_oldest"), overflow_policy::drop_oldest);
-    EXPECT_EQ(parse_overflow_policy("drop-oldest"), overflow_policy::drop_oldest);
-    EXPECT_EQ(parse_overflow_policy("reject"), overflow_policy::reject);
-    EXPECT_FALSE(parse_overflow_policy("nonsense").has_value());
-    EXPECT_EQ(to_string(overflow_policy::block), "block");
-    EXPECT_EQ(to_string(overflow_policy::drop_oldest), "drop_oldest");
-    EXPECT_EQ(to_string(overflow_policy::reject), "reject");
-}
-
-/// Drives `count` single-alert ingest batches through a 1-shard engine
-/// whose force_full hook is under the caller's deterministic control,
-/// then returns the aggregate metrics after a barrier.
-engine_metrics drive_pressured(world& w, overflow_policy policy, std::size_t backlog,
-                               int count, const std::function<bool()>& full) {
-    sharded_config scfg;
-    scfg.shards = 1;
-    scfg.max_ingest_batch = 1;  // one command per alert
-    scfg.overflow = policy;
-    scfg.backlog_batches = backlog;
-    scfg.force_full = full;
-    sharded_engine eng(w.deps(), scfg);
-
-    raw_alert a;
-    a.source = data_source::snmp;
-    a.loc = w.topo.devices().front().loc;
-    a.device = w.topo.devices().front().id;
-    for (int i = 0; i < count; ++i) {
-        a.timestamp = seconds(i);
-        eng.ingest(a, seconds(i));
-    }
-    engine_metrics m = eng.metrics();  // sync barrier inside
-    (void)eng.take_reports();
-    return m;
-}
-
-TEST(OverflowPolicyTest, RejectShedsEveryPressuredBatchAndCounts) {
-    world w;
-    // Every submit sees a forced-full window: all 20 alerts shed.
-    const engine_metrics m =
-        drive_pressured(w, overflow_policy::reject, 16, 20, [] { return true; });
-    EXPECT_EQ(m.degraded.alerts_dropped_overflow, 20u);
-    EXPECT_EQ(m.alerts_in, 0u);
-    EXPECT_GE(m.enqueue_full_waits, 20u);
-    EXPECT_NE(m.render().find("degraded"), std::string::npos);
-}
-
-TEST(OverflowPolicyTest, RejectWithoutPressureShedsNothing) {
-    world w;
-    const engine_metrics m =
-        drive_pressured(w, overflow_policy::reject, 16, 20, [] { return false; });
-    EXPECT_EQ(m.degraded.alerts_dropped_overflow, 0u);
-    EXPECT_EQ(m.alerts_in, 20u);
-}
-
-TEST(OverflowPolicyTest, DropOldestKeepsNewestShedsOldestExactly) {
-    world w;
-    // Pressure the whole run: every batch lands in the backlog, which
-    // holds `backlog_batches` = 4 single-alert batches. 20 in, the
-    // oldest 16 shed, the newest 4 delivered when sync() drains.
-    const engine_metrics m =
-        drive_pressured(w, overflow_policy::drop_oldest, 4, 20, [] { return true; });
-    EXPECT_EQ(m.degraded.alerts_dropped_overflow, 16u);
-    EXPECT_EQ(m.alerts_in, 4u);
-}
-
-TEST(OverflowPolicyTest, BlockIsLosslessUnderPressure) {
-    world w;
-    // Intermittent pressure (every other submit): block never sheds, it
-    // only records backpressure.
-    auto flip = std::make_shared<bool>(false);
-    const engine_metrics m = drive_pressured(w, overflow_policy::block, 16, 20,
-                                             [flip] { return *flip = !*flip; });
-    EXPECT_EQ(m.degraded.alerts_dropped_overflow, 0u);
-    EXPECT_EQ(m.alerts_in, 20u);
-    EXPECT_GT(m.enqueue_full_waits, 0u);
-}
-
-TEST(OverflowPolicyTest, DropOldestRecoversWhenPressureLifts) {
-    world w;
-    // Pressure only the first 10 submits; backlog of 4 holds the tail of
-    // the pressured window, then the drain path re-enqueues them once
-    // pressure lifts. Only the overflowed prefix is lost.
-    auto calls = std::make_shared<int>(0);
-    const engine_metrics m = drive_pressured(w, overflow_policy::drop_oldest, 4, 20,
-                                             [calls] { return ++*calls <= 10; });
-    EXPECT_EQ(m.degraded.alerts_dropped_overflow + m.alerts_in, 20u);
-    EXPECT_GT(m.alerts_in, 4u);  // backlog survivors + unpressured tail
-}
-
-TEST(OverflowPolicyTest, BarriersNeverShedEvenUnderPermanentPressure) {
-    // tick/finish/take_reports must complete (no deadlock, no dropped
-    // barrier) even when the hook reports full forever.
-    world w;
-    sharded_config scfg;
-    scfg.shards = 2;
-    scfg.overflow = overflow_policy::reject;
-    scfg.force_full = [] { return true; };
-    sharded_engine eng(w.deps(), scfg);
-
-    raw_alert a;
-    a.source = data_source::snmp;
-    a.loc = w.topo.devices().front().loc;
-    a.device = w.topo.devices().front().id;
-    a.timestamp = seconds(1);
-    eng.ingest(a, seconds(1));
-
-    network_state state(&w.topo, &w.customers);
-    eng.tick(seconds(2), state);
-    eng.finish(minutes(1), state);
-    EXPECT_TRUE(eng.take_reports().empty());  // the one alert was shed
-    EXPECT_EQ(eng.metrics().degraded.alerts_dropped_overflow, 1u);
 }
 
 }  // namespace
