@@ -8,9 +8,13 @@
 //     --scenario kinds on seeds 1-3, built exactly as the CLI's batch
 //     mode builds it;
 //   * the same listing for a small 4-region flood;
+//   * the --json listing of each of those runs (incident_digest_json,
+//     the body behind /v1/report?json=1 and /v1/incidents);
 //   * the preprocessor's event stream for randomized streams heavy in
 //     traffic drops, surges and failure sightings, with out-of-order
 //     arrivals, the eviction caps set, and a snapshot/import mid-stream.
+// The --json rows came later: they were recorded with the indexed engine,
+// while incidents still deep-copied their alert lists.
 //
 // The digests depend on the standard library's random distributions and
 // on floating-point codegen. On a mismatch the test prints the output
@@ -237,6 +241,57 @@ const std::vector<golden> kScenarioGolden = {
     // clang-format on
 };
 
+/// The same runs' --json listings.
+const std::vector<golden> kScenarioJsonGolden = {
+    // clang-format off
+    {"random", 1, 1, 0x7bdf3c11f1dac679ull},
+    {"random", 2, 1, 0xbc1e6f5e8e7dd50dull},
+    {"random", 3, 1, 0x45b29dc3c6f117aull},
+    {"hardware", 1, 1, 0x9e6057785dbdd42full},
+    {"hardware", 2, 1, 0xd272db8d82ea8401ull},
+    {"hardware", 3, 1, 0x370d3de6ded39e71ull},
+    {"link", 1, 1, 0x2ad4dba719de2057ull},
+    {"link", 2, 1, 0xef92adefd79d5126ull},
+    {"link", 3, 1, 0xbfdd7734573dd4edull},
+    {"modification", 1, 1, 0xd2b4b81df997a80bull},
+    {"modification", 2, 1, 0x543ed4a74b9b2f20ull},
+    {"modification", 3, 1, 0x50f444e7bddbdcb5ull},
+    {"software", 1, 1, 0xd316dc593034b15full},
+    {"software", 2, 1, 0x857e94ae3a6badbeull},
+    {"software", 3, 1, 0xb92d04f2c1f2bf2aull},
+    {"infrastructure", 1, 2, 0x8f2fcdaf14697872ull},
+    {"infrastructure", 2, 1, 0x3c3ed3bb23fb03c0ull},
+    {"infrastructure", 3, 1, 0xaa3b9d71fecf7b7cull},
+    {"route", 1, 1, 0x4dcbd71337c71ce5ull},
+    {"route", 2, 1, 0xdf6f1a7e63e3bad3ull},
+    {"route", 3, 1, 0xb6240ec526b88fc5ull},
+    {"ddos", 1, 3, 0x616471d803bca8a2ull},
+    {"ddos", 2, 3, 0x88e0749c66650048ull},
+    {"ddos", 3, 3, 0xcaab2d1a8e721b88ull},
+    {"config", 1, 1, 0x7197726eeb9fc17aull},
+    {"config", 2, 1, 0x831f4b46698c0f8aull},
+    {"config", 3, 1, 0x4424edcb84352e72ull},
+    {"gray", 1, 1, 0xd77eb4065689d375ull},
+    {"gray", 2, 1, 0x1b3e631550997b99ull},
+    {"gray", 3, 1, 0x981a4ddd83ef5a72ull},
+    {"flapping-link", 1, 1, 0xf7384ca1f40cd705ull},
+    {"flapping-link", 2, 1, 0xa37021d381d40627ull},
+    {"flapping-link", 3, 1, 0xa4220297db2f6134ull},
+    {"storm", 1, 3, 0x9414afe13507036cull},
+    {"storm", 2, 3, 0xaa06b9e63fd19d4ull},
+    {"storm", 3, 13, 0xbef86f8a92e73c96ull},
+    {"maintenance", 1, 1, 0x49363ff52b2ea9adull},
+    {"maintenance", 2, 1, 0x55ef35963bbeb3e5ull},
+    {"maintenance", 3, 1, 0x29bcb3645de89274ull},
+    {"slow-burn", 1, 1, 0x97c84eef7ab31177ull},
+    {"slow-burn", 2, 1, 0x60111bd792718d51ull},
+    {"slow-burn", 3, 1, 0x8534fc9db5bc0b1eull},
+    {"cable-cut", 1, 1, 0x4c6b3a1c3649d41bull},
+    {"cable-cut", 2, 1, 0x602bec972dd9fadcull},
+    {"cable-cut", 3, 1, 0xc79a6e14f8bcd177ull},
+    // clang-format on
+};
+
 class GoldenScenarioTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenScenarioTest, ListingMatchesRecordedDigest) {
@@ -249,6 +304,9 @@ TEST_P(GoldenScenarioTest, ListingMatchesRecordedDigest) {
         }
         expect_golden(find_golden(kScenarioGolden, kind, seed), kind, seed, reports.size(),
                       serve::render_report_listing(reports));
+        SCOPED_TRACE("--json listing");
+        expect_golden(find_golden(kScenarioJsonGolden, kind, seed), kind, seed, reports.size(),
+                      serve::render_report_listing(reports, {.json = true}));
     }
 }
 
@@ -266,6 +324,7 @@ INSTANTIATE_TEST_SUITE_P(CliKinds, GoldenScenarioTest,
 TEST(GoldenScenarioTest, EveryCliKindIsCovered) {
     EXPECT_EQ(scenario_kinds().size(), 15u);
     EXPECT_EQ(kScenarioGolden.size(), 45u);
+    EXPECT_EQ(kScenarioJsonGolden.size(), 45u);
 }
 
 // --- the small 4-region flood --------------------------------------------
@@ -276,6 +335,12 @@ const std::vector<golden> kFloodGolden = {
     // clang-format on
 };
 
+const std::vector<golden> kFloodJsonGolden = {
+    // clang-format off
+    {"region4_flood", 9, 16, 0x7630e1d055625997ull},
+    // clang-format on
+};
+
 TEST(GoldenFloodTest, SequentialListingMatchesRecordedDigest) {
     test_flood::flood_world& w = test_flood::region4_world();
     skynet_engine engine(w.deps());
@@ -283,6 +348,9 @@ TEST(GoldenFloodTest, SequentialListingMatchesRecordedDigest) {
     ASSERT_FALSE(reports.empty());
     expect_golden(find_golden(kFloodGolden, "region4_flood", 9), "region4_flood", 9,
                   reports.size(), serve::render_report_listing(reports));
+    SCOPED_TRACE("--json listing");
+    expect_golden(find_golden(kFloodJsonGolden, "region4_flood", 9), "region4_flood", 9,
+                  reports.size(), serve::render_report_listing(reports, {.json = true}));
 }
 
 // --- preprocessor event streams ------------------------------------------
