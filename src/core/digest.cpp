@@ -2,29 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 namespace skynet {
 namespace {
 
-struct type_row {
-    std::string source;
-    std::string name;
-    int count{0};
-};
+using type_row = incident::type_row;
 
+/// A category's type rows, most frequent first. The count sort runs on
+/// the name-ordered rows, so equal counts keep a fixed order.
 std::vector<type_row> rows_for(const incident& inc, alert_category category) {
-    std::map<std::string, type_row> by_type;
-    for (const structured_alert& a : inc.alerts) {
-        if (a.category != category) continue;
-        type_row& row = by_type[a.type_name];
-        row.source = std::string(to_string(a.source));
-        row.name = a.type_name;
-        row.count += a.count;
-    }
-    std::vector<type_row> out;
-    out.reserve(by_type.size());
-    for (auto& [name, row] : by_type) out.push_back(std::move(row));
+    std::vector<type_row> out = inc.type_rows(category);
     std::sort(out.begin(), out.end(),
               [](const type_row& a, const type_row& b) { return a.count > b.count; });
     return out;
@@ -71,8 +58,10 @@ std::string incident_digest(const incident_report& report, const digest_options&
                 block += "  ... " + std::to_string(rows.size() - listed + 1) + " more types\n";
                 break;
             }
-            std::snprintf(buf, sizeof buf, "  [%s] %s x%d\n", row.source.c_str(),
-                          row.name.c_str(), row.count);
+            const std::string_view source = to_string(row.source);
+            std::snprintf(buf, sizeof buf, "  [%.*s] %.*s x%d\n",
+                          static_cast<int>(source.size()), source.data(),
+                          static_cast<int>(row.name.size()), row.name.data(), row.count);
             block += buf;
         }
         if (out.size() + block.size() > options.max_chars) {
@@ -142,7 +131,8 @@ std::string incident_digest_json(const incident_report& report) {
             first = false;
             std::snprintf(buf, sizeof buf,
                           "{\"category\":\"%s\",\"source\":\"%s\",\"type\":\"%s\",\"count\":%d}",
-                          std::string(to_string(cat)).c_str(), json_escape(row.source).c_str(),
+                          std::string(to_string(cat)).c_str(),
+                          json_escape(to_string(row.source)).c_str(),
                           json_escape(row.name).c_str(), row.count);
             out += buf;
         }

@@ -34,7 +34,7 @@ location_id evaluator::root_id_of(const incident& inc) const {
     return topo_->locations().intern(inc.root);
 }
 
-std::vector<circuit_set_id> evaluator::related_circuit_sets(const incident& inc) const {
+const std::vector<circuit_set_id>& evaluator::related_circuit_sets(const incident& inc) const {
     const location_id root = root_id_of(inc);
     if (const auto it = related_cache_.find(root); it != related_cache_.end()) {
         return it->second;
@@ -49,14 +49,13 @@ std::vector<circuit_set_id> evaluator::related_circuit_sets(const incident& inc)
             if (seen.insert(cs.id).second) out.push_back(cs.id);
         }
     }
-    related_cache_.emplace(root, out);
-    return out;
+    return related_cache_.emplace(root, std::move(out)).first->second;
 }
 
 severity_breakdown evaluator::evaluate(const incident& inc, const network_state& state,
                                        sim_time now) const {
     severity_breakdown s;
-    const std::vector<circuit_set_id> csets = related_circuit_sets(inc);
+    const std::vector<circuit_set_id>& csets = related_circuit_sets(inc);
     s.circuit_sets = static_cast<int>(csets.size());
 
     // Equation 1: impact factor.

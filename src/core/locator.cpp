@@ -41,28 +41,65 @@ double incident::avg_failure_loss() const {
     return n == 0 ? 0.0 : sum / n;
 }
 
+std::vector<incident::type_row> incident::type_rows(alert_category category) const {
+    // One pass groups the alerts by type id (and name, for hand-built
+    // alerts that carry no id), so strings are touched once per group.
+    struct group {
+        alert_type_id type;
+        std::size_t last;  ///< position of the group's last alert
+        type_row row;
+    };
+    std::vector<group> groups;
+    for (std::size_t i = 0; i < alerts.size(); ++i) {
+        const structured_alert& a = alerts[i];
+        if (a.category != category) continue;
+        auto g = std::find_if(groups.begin(), groups.end(), [&a](const group& g) {
+            return g.type == a.type && g.row.name == a.type_name;
+        });
+        if (g == groups.end()) g = groups.insert(groups.end(), group{a.type, i, {a.type_name}});
+        g->last = i;
+        g->row.source = a.source;
+        g->row.count += a.count;
+    }
+    std::sort(groups.begin(), groups.end(),
+              [](const group& a, const group& b) { return a.row.name < b.row.name; });
+    // Groups that share a name merge; the source of the last alert wins.
+    std::vector<type_row> rows;
+    rows.reserve(groups.size());
+    std::size_t last = 0;
+    for (const group& g : groups) {
+        if (rows.empty() || rows.back().name != g.row.name) {
+            rows.push_back(g.row);
+            last = g.last;
+            continue;
+        }
+        rows.back().count += g.row.count;
+        if (g.last > last) {
+            rows.back().source = g.row.source;
+            last = g.last;
+        }
+    }
+    return rows;
+}
+
 std::string incident::render() const {
     std::string out = "Incident " + std::to_string(id) + ":\n[" + root.to_string() + "][" +
                       format_time(when.begin) + " - " + format_time(when.end) + "]\n";
     static constexpr alert_category order[] = {alert_category::failure, alert_category::abnormal,
                                                alert_category::root_cause};
     for (alert_category cat : order) {
-        // type -> (source label, occurrence count)
-        std::map<std::string, std::pair<std::string, int>> by_type;
-        for (const structured_alert& a : alerts) {
-            if (a.category != cat) continue;
-            auto& entry = by_type[a.type_name];
-            entry.first = std::string(to_string(a.source));
-            entry.second += a.count;
-        }
-        if (by_type.empty()) continue;
+        const std::vector<type_row> rows = type_rows(cat);
+        if (rows.empty()) continue;
         out += "\n";
         out += (cat == alert_category::failure     ? "Failure alerts\n"
                 : cat == alert_category::abnormal ? "Abnormal alerts\n"
                                                   : "Root cause alerts\n");
-        for (const auto& [type_name, entry] : by_type) {
-            out += "  " + entry.first + " |- " + type_name + " (" +
-                   std::to_string(entry.second) + ")\n";
+        for (const type_row& row : rows) {
+            out += "  ";
+            out += to_string(row.source);
+            out += " |- ";
+            out += row.name;
+            out += " (" + std::to_string(row.count) + ")\n";
         }
     }
     return out;
@@ -160,12 +197,13 @@ void locator::add_to_main(const structured_alert& alert, sim_time now) {
         node.loc = alert.loc_id;
         node.path = &topo_->locations().path_of(alert.loc_id);
     }
-    node.alerts.push_back(stored_alert{.alert = alert, .inserted = now});
+    std::vector<stored_alert>& alerts = node.alerts.edit();
+    alerts.push_back(stored_alert{.alert = alert, .inserted = now});
     node.last_update = now;
     // Bounded-memory degradation: a node at its cap sheds its oldest
     // stored alert (insertion order == arrival order, so front-first).
-    while (config_.max_node_alerts != 0 && node.alerts.size() > config_.max_node_alerts) {
-        node.alerts.erase(node.alerts.begin());
+    while (config_.max_node_alerts != 0 && alerts.size() > config_.max_node_alerts) {
+        alerts.erase(alerts.begin());
         ++evicted_node_alerts_;
     }
 }
@@ -222,13 +260,23 @@ void locator::refresh(const structured_alert& alert, sim_time now) {
         stored.count = a.count;
         stored.metric = a.metric;
     };
+    // Updates a node's alerts of a's type, detaching the list only when
+    // one matches.
+    const auto update_node = [&a, &update](shared_list<stored_alert>& alerts) {
+        const auto same_type = [&a](const stored_alert& s) { return s.alert.type == a.type; };
+        const auto first = std::find_if(alerts.begin(), alerts.end(), same_type);
+        if (first == alerts.end()) return;
+        const auto from = first - alerts.begin();
+        std::vector<stored_alert>& own = alerts.edit();
+        for (auto s = own.begin() + from; s != own.end(); ++s) {
+            if (same_type(*s)) update(s->alert);
+        }
+    };
     // Consolidation update: same (type, location) alert recurred; extend
     // the stored alert and keep the node alive.
     if (auto it = nodes_.find(a.loc_id); it != nodes_.end()) {
         it->second.last_update = now;
-        for (stored_alert& s : it->second.alerts) {
-            if (s.alert.type == a.type) update(s.alert);
-        }
+        update_node(it->second.alerts);
     } else {
         // Node expired between the original emission and this update:
         // treat as a fresh insertion.
@@ -240,12 +288,11 @@ void locator::refresh(const structured_alert& alert, sim_time now) {
     st->inc.when.extend(a.when.end);
     auto it = st->nodes.find(a.loc_id);
     if (it == st->nodes.end()) return;
-    for (stored_alert& s : it->second) {
-        if (s.alert.type == a.type) update(s.alert);
-    }
+    update_node(it->second);
     if (const auto last = st->last_slot.find(type_location_key(a)); last != st->last_slot.end()) {
+        std::vector<structured_alert>& alerts = st->inc.alerts.edit();
         for (std::uint32_t i = last->second; i != kNoSlot; i = st->previous_slot[i]) {
-            update(st->inc.alerts[i]);
+            update(alerts[i]);
         }
     }
 }
@@ -345,11 +392,12 @@ void locator::spawn_incident(const std::vector<const tree_node*>& group, sim_tim
     sim_time end = 0;
     std::size_t total_alerts = 0;
     for (const tree_node* node : subtree) total_alerts += node->alerts.size();
-    st.inc.alerts.reserve(total_alerts);
+    std::vector<structured_alert>& alerts = st.inc.alerts.edit();
+    alerts.reserve(total_alerts);
     for (const tree_node* node : subtree) {
         st.nodes.emplace(node->loc, node->alerts);
         for (const stored_alert& s : node->alerts) {
-            st.inc.alerts.push_back(s.alert);
+            alerts.push_back(s.alert);
             begin = std::min(begin, s.alert.when.begin);
             end = std::max(end, s.alert.when.end);
         }
@@ -414,9 +462,9 @@ std::vector<incident> locator::check(sim_time now) {
     }
 
     // Algorithm 3, incident trees: close idle incidents. The state is
-    // erased right after, so the incident (with its alert vector) is
-    // moved out instead of deep-copied; the closed flag survives the
-    // move (trivially copied), keeping the erase predicate valid.
+    // erased right after, so the incident is moved out; the closed flag
+    // survives the move (trivially copied), keeping the erase predicate
+    // valid.
     std::vector<incident> closed;
     // Cap-evicted incidents close first (they were forced out before the
     // idle scan), then the idle ones in spawn order.
@@ -453,13 +501,6 @@ std::vector<incident> locator::open_incidents() const {
     std::vector<incident> out;
     out.reserve(incident_states_.size());
     for (const incident_state& st : incident_states_) out.push_back(st.inc);
-    return out;
-}
-
-std::vector<const incident*> locator::open_incident_view() const {
-    std::vector<const incident*> out;
-    out.reserve(incident_states_.size());
-    for (const incident_state& st : incident_states_) out.push_back(&st.inc);
     return out;
 }
 

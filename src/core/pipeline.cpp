@@ -174,9 +174,9 @@ void skynet_engine::tick(sim_time now, const network_state& state) {
     }
 
     // Live severity: keep the peak score seen while open.
-    for (const incident* open : locator_.open_incident_view()) {
-        const severity_breakdown s = evaluator_.evaluate(*open, state, now);
-        auto [it, inserted] = live_scores_.try_emplace(open->id, s);
+    for (const incident& open : locator_.open_incidents()) {
+        const severity_breakdown s = evaluator_.evaluate(open, state, now);
+        auto [it, inserted] = live_scores_.try_emplace(open.id, s);
         if (!inserted && s.score > it->second.score) it->second = s;
         ++evaluated;
     }
@@ -227,17 +227,17 @@ std::vector<incident_report> skynet_engine::take_reports() {
 std::vector<incident_report> skynet_engine::open_reports(sim_time now,
                                                          const network_state& state) const {
     std::vector<incident_report> out;
-    const std::vector<const incident*> open_view = locator_.open_incident_view();
-    out.reserve(open_view.size());
-    for (const incident* open : open_view) {
+    std::vector<incident> open = locator_.open_incidents();
+    out.reserve(open.size());
+    for (incident& inc : open) {
         incident_report report;
-        report.inc = *open;
-        report.severity = evaluator_.evaluate(*open, state, now);
-        if (const auto it = live_scores_.find(open->id); it != live_scores_.end()) {
+        report.severity = evaluator_.evaluate(inc, state, now);
+        if (const auto it = live_scores_.find(inc.id); it != live_scores_.end()) {
             if (it->second.score > report.severity.score) report.severity = it->second;
         }
-        report.zoomed = evaluator_.zoom_in(*open);
+        report.zoomed = evaluator_.zoom_in(inc);
         report.actionable = evaluator_.passes_filter(report.severity);
+        report.inc = std::move(inc);
         out.push_back(std::move(report));
     }
     // Ranked view: most severe first (the paper's incident ranking).

@@ -54,8 +54,10 @@ public:
               evaluator_config config = {});
 
     /// Circuit sets related to an incident: sets with at least one
-    /// endpoint device under the incident root.
-    [[nodiscard]] std::vector<circuit_set_id> related_circuit_sets(const incident& inc) const;
+    /// endpoint device under the incident root. The list lives in the
+    /// evaluator's memo and stays valid as long as the evaluator.
+    [[nodiscard]] const std::vector<circuit_set_id>& related_circuit_sets(
+        const incident& inc) const;
 
     /// Computes y_k against the frozen network state; `now` supplies the
     /// duration for still-open incidents.
@@ -90,7 +92,7 @@ private:
     /// topology is immutable), and live scoring re-evaluates every open
     /// incident each tick — memoizing by the root's interned id turns
     /// the per-evaluation full circuit-set scan into an integer-keyed
-    /// hash lookup.
+    /// hash lookup. Node-based, so the lists it hands out survive inserts.
     mutable std::unordered_map<location_id, std::vector<circuit_set_id>> related_cache_;
 };
 

@@ -14,10 +14,12 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "skynet/alert/alert.h"
+#include "skynet/common/shared_list.h"
 #include "skynet/topology/topology.h"
 
 namespace skynet {
@@ -84,7 +86,9 @@ struct incident {
     /// sentinel for hand-built incidents (consumers intern `root` then).
     location_id root_id{invalid_location_id};
     time_range when;
-    std::vector<structured_alert> alerts;
+    /// Shared with every copy of the incident (reports, checkpoints) until
+    /// the locator appends or refreshes, which detaches its own list.
+    shared_list<structured_alert> alerts;
     bool closed{false};
 
     /// Distinct alert types present, by category.
@@ -92,6 +96,19 @@ struct incident {
     [[nodiscard]] int total_type_count() const;
     /// Mean metric over failure-category probe alerts (R_k input).
     [[nodiscard]] double avg_failure_loss() const;
+
+    /// One line of an incident's type listing: an alert type, the summed
+    /// count of its alerts and the source of the last of them. `name`
+    /// views the incident's alerts.
+    struct type_row {
+        std::string_view name;
+        data_source source{};
+        int count{0};
+    };
+    /// The type rows of one category, by name. Types that share a name
+    /// share a row.
+    [[nodiscard]] std::vector<type_row> type_rows(alert_category category) const;
+
     /// Figure 6-style rendering: categorized type counts under the
     /// incident header.
     [[nodiscard]] std::string render() const;
@@ -115,7 +132,7 @@ public:
         struct node_state {
             location_id loc{invalid_location_id};
             sim_time last_update{0};
-            std::vector<stored_alert> alerts;
+            shared_list<stored_alert> alerts;
         };
         struct incident_entry {
             incident inc;
@@ -131,7 +148,8 @@ public:
 
     locator(const topology* topo, locator_config config = {});
 
-    /// Exports main-tree and incident-tree state; see persist_state.
+    /// Exports main-tree and incident-tree state; see persist_state. The
+    /// export shares its alert lists with the locator.
     [[nodiscard]] persist_state export_state() const;
 
     /// Replaces all trees with a previously exported state. The restored
@@ -153,13 +171,10 @@ public:
     /// Force-closes every open incident (end of an experiment episode).
     [[nodiscard]] std::vector<incident> drain(sim_time now);
 
-    /// Snapshot of the currently open incidents (deep copy; prefer
-    /// open_incident_view() on hot paths).
+    /// Snapshot of the currently open incidents. The copies share their
+    /// alert lists with the locator, and later inserts and refreshes never
+    /// change them.
     [[nodiscard]] std::vector<incident> open_incidents() const;
-
-    /// Zero-copy view of the open incidents. Pointers are valid until the
-    /// next mutating call (insert/refresh/check/drain).
-    [[nodiscard]] std::vector<const incident*> open_incident_view() const;
 
     [[nodiscard]] std::size_t main_tree_size() const noexcept { return nodes_.size(); }
 
@@ -180,7 +195,7 @@ private:
         /// Table-owned path (stable for the table's lifetime); kept for
         /// the path-ordered sorts that make spawn order deterministic.
         const location* path{nullptr};
-        std::vector<stored_alert> alerts;
+        shared_list<stored_alert> alerts;
         sim_time last_update{0};
     };
     struct incident_state {
@@ -188,7 +203,7 @@ private:
         location_id root_id{root_location_id};
         sim_time update_time{0};
         /// Interned locations (node keys) belonging to this incident tree.
-        std::unordered_map<location_id, std::vector<stored_alert>> nodes;
+        std::unordered_map<location_id, shared_list<stored_alert>> nodes;
         /// Positions in inc.alerts by (type, location) key, so a refresh
         /// touches only the alerts it updates: the latest position per
         /// key, and per position the previous one with the same key

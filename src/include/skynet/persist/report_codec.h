@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "skynet/common/shared_list.h"
 #include "skynet/core/pipeline.h"
 
 namespace skynet::persist::codec {
@@ -229,6 +230,10 @@ struct encoder {
         put_u64(out, v.size());
         for (const T& x : v) each(x);
     }
+    template <typename T, typename F>
+    void list(const shared_list<T>& v, std::size_t min_bytes, F&& each) {
+        list(v.vec(), min_bytes, each);
+    }
     /// A count the decoder must find unchanged (fixed-size arrays).
     void fixed(std::size_t n, const char*) { put_u64(out, n); }
     void check(bool, const char*) {}
@@ -267,6 +272,12 @@ struct decoder {
             if (!in.ok()) return;
             each(x);
         }
+    }
+    template <typename T, typename F>
+    void list(shared_list<T>& v, std::size_t min_bytes, F&& each) {
+        std::vector<T> items;
+        list(items, min_bytes, each);
+        v = std::move(items);
     }
     void fixed(std::size_t n, const char* what) {
         if (in.u64() != n) in.fail(std::string(what) + " mismatch");

@@ -159,7 +159,7 @@ TEST(EvaluatorTest, ZeroLossZeroOverloadScoresZero) {
     network_state state(&f.topo, &f.customers);
     evaluator eval(&f.topo, &f.customers);
     incident inc = f.make_incident(0.0, minutes(10));
-    inc.alerts[0].category = alert_category::abnormal;  // no failure metrics at all
+    inc.alerts.edit()[0].category = alert_category::abnormal;  // no failure metrics at all
     const auto s = eval.evaluate(inc, state, minutes(10));
     // R_k and L_k are both ~0, so the clamped log base is huge and the
     // time factor stays small: the incident never escalates on its own.

@@ -384,6 +384,34 @@ TEST(LocatorTest, RenderShowsFigure6Structure) {
     EXPECT_NE(text.find("Region A|City a|LS 2|Site I|Cluster i"), std::string::npos);
 }
 
+TEST(LocatorTest, TypeRowsMergeTypesThatShareANameAndKeepTheLastSource) {
+    // "traffic surge" is registered under two type ids (SNMP and traffic
+    // stats); the listing shows one row per name, counts summed, with the
+    // source of the last alert.
+    fixture f;
+    incident inc;
+    for (const auto& [src, count] : {std::pair{data_source::snmp, 2},
+                                     std::pair{data_source::traffic_stats, 3},
+                                     std::pair{data_source::snmp, 4}}) {
+        structured_alert a = f.alert("traffic surge", src, f.a1, 0);
+        a.count = count;
+        inc.alerts.push_back(a);
+    }
+    structured_alert other = f.alert("high cpu", data_source::snmp, f.a2, 0);
+    other.category = inc.alerts[0].category;
+    inc.alerts.push_back(other);
+    ASSERT_NE(inc.alerts[0].type, inc.alerts[1].type);
+
+    const auto rows = inc.type_rows(inc.alerts[0].category);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].name, "high cpu");
+    EXPECT_EQ(rows[1].name, "traffic surge");
+    EXPECT_EQ(rows[1].count, 9);
+    EXPECT_EQ(rows[1].source, data_source::snmp);
+    inc.alerts.edit()[2].source = data_source::traffic_stats;
+    EXPECT_EQ(inc.type_rows(inc.alerts[0].category)[1].source, data_source::traffic_stats);
+}
+
 TEST(LocatorTest, UniformThresholdsAcrossLevels) {
     // A single port-down can be the root cause of a whole failure; the
     // same thresholds apply at every hierarchy level (§4.2).
