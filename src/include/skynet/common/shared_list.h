@@ -5,10 +5,11 @@
 // incident tree replicated from it, the live locator and the checkpoint
 // exported from it. A shared_list makes those copies O(1) by sharing one
 // reference-counted buffer. Reads go through a const, vector-like
-// interface and never clone. Every write goes through edit() (push_back,
-// reserve and clear call it), which first detaches the list from every
-// other holder, so a copy taken earlier never sees a later write. There is
-// no non-const iterator and no non-const operator[].
+// interface and never clone. Every write goes through edit() (push_back
+// and reserve call it), which first detaches the list from every other
+// holder, or through clear(), which lets a shared buffer go; so a copy
+// taken earlier never sees a later write. There is no non-const iterator
+// and no non-const operator[].
 //
 // Thread safety is a value type's: one list object is not used by two
 // threads at once, but lists that share a buffer may be read, destroyed
@@ -19,7 +20,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -28,12 +28,10 @@ namespace skynet {
 template <typename T>
 class shared_list {
 public:
-    using value_type = T;
     using const_iterator = typename std::vector<T>::const_iterator;
 
     shared_list() noexcept = default;
     shared_list(std::vector<T> items) : rep_(new rep{.items = std::move(items)}) {}
-    shared_list(std::initializer_list<T> items) : shared_list(std::vector<T>(items)) {}
     shared_list(const shared_list& other) noexcept : rep_(other.rep_) {
         if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
     }
@@ -54,8 +52,6 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return vec().size(); }
     [[nodiscard]] bool empty() const noexcept { return vec().empty(); }
     [[nodiscard]] const T& operator[](std::size_t i) const noexcept { return vec()[i]; }
-    [[nodiscard]] const T& front() const noexcept { return vec().front(); }
-    [[nodiscard]] const T& back() const noexcept { return vec().back(); }
     /// True while another list shares this one's buffer.
     [[nodiscard]] bool shared() const noexcept {
         return rep_ != nullptr && rep_->refs.load(std::memory_order_acquire) > 1;
